@@ -1,8 +1,7 @@
 """McEliece over AG-code duals: the scheme, ECP decoding, and the
 Schur-product key-recovery attack."""
 
-from .field import Field, FieldElement, GF
-from .matrix import MatrixGF
+from .field import Field, GF
 from .code import LinearCode
 from .curve import (
     OnePointCurve,
@@ -44,7 +43,7 @@ from .params import ParamReport, attack_workfactor, isd_workfactor, scheme_param
 from . import errors
 
 __all__ = [
-    "Field", "FieldElement", "GF", "MatrixGF", "LinearCode",
+    "Field", "GF", "LinearCode",
     "OnePointCurve", "hermitian_curve", "suzuki_curve", "custom_curve",
     "curve_from_descriptor", "ag_code", "public_code", "oracle_filtration",
     "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",

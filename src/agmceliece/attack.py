@@ -282,14 +282,10 @@ def guard_algorithm_2(n: int, g: int, m: int, t: int):
     _guard_direct_route(n, m)
 
 
-def attack_pipeline(
-    pk, algorithm: int = 2, p_index: int | None = None, params_hint=None
-) -> AttackTranscript:
+def attack_pipeline(pk, algorithm: int = 2, p_index: int | None = None) -> AttackTranscript:
     """Run the five attack steps against a public key.
 
-    `params_hint = (m, g)` overrides parameter recovery for instances where
-    the square-dimension formula is out of range (known-parameter studies);
-    the default recovers them from the public code alone.
+    (m, g) are recovered from the public code alone.
     """
     stage_seconds: dict[str, float] = {}
     c_pub = pk.code()
@@ -297,10 +293,7 @@ def attack_pipeline(
 
     t0 = time.perf_counter()
     try:
-        if params_hint is None:
-            m, g = recover_params(c_pub)
-        else:
-            m, g = params_hint
+        m, g = recover_params(c_pub)
     except (ParameterError, SquareSaturatedError) as exc:
         raise AttackError("recover-params", str(exc)) from exc
     stage_seconds["recover_params"] = time.perf_counter() - t0
@@ -438,8 +431,6 @@ def extended_filtration(
         filt, _ = runner(B0j, B1j, target)
         piece = filt[target]
         total = piece if total is None else LinearCode(
-            C.field,
-            C.n,
-            mx.row_space_sum(C.field, total.gen, piece.gen),
+            C.field, C.n, np.vstack([total.gen, piece.gen])
         )
     return total

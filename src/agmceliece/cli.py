@@ -29,6 +29,7 @@ from .errors import (
     InstanceTooLargeError,
     ParameterError,
 )
+from .field import Field
 from .mceliece import (
     Ciphertext,
     PublicKey,
@@ -41,6 +42,7 @@ from .mceliece import (
     legitimate_pair,
 )
 from .params import scheme_params
+from . import matrix as mx
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,6 +109,11 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
+def _check_reps(what: str, a: np.ndarray, q: int):
+    if a.size and (a.min() < 0 or a.max() >= q):
+        raise FormatError(f"{what}: entries outside [0, {q})")
+
+
 def _load_public(path: str) -> PublicKey:
     d = _load_json(path)
     try:
@@ -115,18 +122,29 @@ def _load_public(path: str) -> PublicKey:
         raise FormatError(f"malformed public key {path}: {exc}") from exc
     if pk.g_pub.ndim != 2 or pk.g_pub.shape[1] != pk.n:
         raise FormatError(f"public key {path}: generator shape mismatch")
+    _check_reps(f"public key {path}", pk.g_pub, pk.field.q)
     return pk
 
 
 def _load_secret(path: str) -> SecretKey:
     d = _load_json(path)
     try:
-        return SecretKey.from_dict(d)
+        sk = SecretKey.from_dict(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed secret key {path}: {exc}") from exc
+    field, n = sk.curve.field, sk.curve.n
+    if sorted(sk.permutation) != list(range(n)):
+        raise FormatError(f"secret key {path}: permutation is not a bijection of range({n})")
+    S = sk.scramble
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise FormatError(f"secret key {path}: scramble matrix is not square")
+    _check_reps(f"secret key {path} scramble", S, field.q)
+    if mx.rref(field, S)[1] != S.shape[0]:
+        raise FormatError(f"secret key {path}: scramble matrix is singular")
+    return sk
 
 
-def _load_ciphertext(path: str, n: int) -> Ciphertext:
+def _load_ciphertext(path: str, field: Field, n: int) -> Ciphertext:
     d = _load_json(path)
     try:
         ct = Ciphertext.from_dict(d)
@@ -134,6 +152,7 @@ def _load_ciphertext(path: str, n: int) -> Ciphertext:
         raise FormatError(f"malformed ciphertext {path}: {exc}") from exc
     if ct.y.ndim != 1 or ct.y.size != n:
         raise FormatError(f"ciphertext length {ct.y.size} does not match n = {n}")
+    _check_reps(f"ciphertext {path}", ct.y, field.q)
     return ct
 
 
@@ -155,8 +174,7 @@ def cmd_encrypt(args) -> int:
 
 def cmd_decrypt(args) -> int:
     sk = _load_secret(args.sec)
-    n = sk.curve.n
-    ct = _load_ciphertext(args.ct, n)
+    ct = _load_ciphertext(args.ct, sk.curve.field, sk.curve.n)
     msg = decrypt(sk, ct)
     _dump_json(args.out, {"msg": [int(v) for v in msg]})
     print(f"wrote {args.out}")
@@ -173,7 +191,7 @@ def cmd_attack(args) -> int:
         f"lambda={transcript.systems_solved}; wrote {args.transcript}"
     )
     if args.ct:
-        ct = _load_ciphertext(args.ct, pk.n)
+        ct = _load_ciphertext(args.ct, pk.field, pk.n)
         msg = attack_decrypt(transcript, pk, ct.y)
         _dump_json(args.out, {"msg": [int(v) for v in msg]})
         print(f"wrote {args.out}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldMismatchError, ParameterError
+from .errors import ParameterError
 
 MAX_ORDER = 1 << 16
 
@@ -294,9 +294,6 @@ class Field:
             raise ZeroDivisionError("inversion of zero element")
         return int(self._exp[(self.q - 1 - int(self._log[a])) % (self.q - 1)])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e: int):
         e = int(e)
         if isinstance(a, np.ndarray):
@@ -390,17 +387,6 @@ class Field:
         self._red_rows = rows
         return rows
 
-    # -- scalar element API -----------------------------------------------------
-
-    def element(self, rep: int) -> "FieldElement":
-        return FieldElement(self, rep)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
 
 def _canonical_modulus(p: int, k: int) -> list[int]:
     if k == 1:
@@ -456,73 +442,3 @@ def GF(q_or_p: int, k: int | None = None) -> Field:
         _FIELD_CACHE[key] = Field(p, kk)
     return _FIELD_CACHE[key]
 
-
-class FieldElement:
-    """Value-type element of a Field; binary ops require the same field."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: Field, rep: int):
-        rep = int(rep)
-        if not 0 <= rep < field.q:
-            raise ValueError(f"rep {rep} outside [0, {field.q})")
-        self.field = field
-        self.rep = rep
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixing {self.field!r} and {other.field!r} elements"
-                )
-            return other.rep
-        if isinstance(other, int):
-            if self.field.k == 1:
-                return other % self.field.p
-            if other in (0, 1):
-                return other
-        raise TypeError(f"cannot combine FieldElement with {other!r}")
-
-    def __add__(self, other):
-        return FieldElement(self.field, int(self.field.add(self.rep, self._coerce(other))))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, int(self.field.sub(self.rep, self._coerce(other))))
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.rep)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, int(self.field.mul(self.rep, self._coerce(other))))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, int(self.field.div(self.rep, self._coerce(other))))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, int(self.field.pow(self.rep, e)))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.rep))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.frobenius(self.rep)))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.rep == other.rep
-        if isinstance(other, int):
-            return self.rep == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.rep))
-
-    def __bool__(self):
-        return self.rep != 0
-
-    def __repr__(self):
-        return f"{self.field!r}[{self.rep}]"

@@ -8,25 +8,10 @@ iff their RREFs are identical arrays.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import DimensionError, FieldMismatchError
+from .errors import DimensionError
 from .field import Field
-
-# optional performance layer: certified compressed elimination for very tall
-# matrices; bit-identical results (the RREF of a row space is canonical), so
-# this only trades determinism of the *route*, never of the output
-_FAST_RREF = os.environ.get("AGMC_FAST_RREF", "") not in ("", "0", "false")
-
-
-def set_fast_rref(enabled: bool) -> bool:
-    """Toggle the compressed-elimination fast path; returns the old setting."""
-    global _FAST_RREF
-    old = _FAST_RREF
-    _FAST_RREF = bool(enabled)
-    return old
 
 
 def as_rep_array(field: Field, data, cols: int | None = None) -> np.ndarray:
@@ -44,19 +29,9 @@ def as_rep_array(field: Field, data, cols: int | None = None) -> np.ndarray:
 def rref(field: Field, M: np.ndarray):
     """Return (R, rank, pivot_cols); R is the RREF of M, row space preserved.
 
-    Very tall inputs go through a compressed fast path whose result is
-    certified exactly and falls back to plain elimination on failure; since
-    the RREF of a row space is canonical, the output is identical either way.
+    Every 32 pivots, tall inputs drop their all-zero unreduced rows, so the
+    remaining pivot steps touch only live rows.
     """
-    M = np.asarray(M, dtype=np.int64)
-    if _FAST_RREF and M.shape[0] > max(2 * M.shape[1], 192):
-        out = _rref_compressed(field, M)
-        if out is not None:
-            return out
-    return _rref_plain(field, M)
-
-
-def _rref_plain(field: Field, M: np.ndarray):
     A = np.array(M, dtype=np.int64, copy=True)
     cols = A.shape[1]
     pivots: list[int] = []
@@ -90,32 +65,6 @@ def _rref_plain(field: Field, M: np.ndarray):
     return A[: len(pivots)], len(pivots), pivots
 
 
-def _rref_compressed(field: Field, M: np.ndarray):
-    """RREF of a very tall M via a certified random compression.
-
-    W = T @ M spans a subspace of rowspace(M); if every row of M reduces to
-    zero against rref(W) (checked exactly on the non-pivot columns, since the
-    pivot columns cancel by construction), the row spaces coincide and
-    rref(W) is THE canonical RREF of M.  Returns None when the certificate
-    fails, which has probability ~q^-16 per attempt.
-    """
-    rows, cols = M.shape
-    gen = np.random.default_rng(0xC0DE ^ rows ^ (cols << 20))
-    w_rows = min(rows, cols + 16)
-    T = gen.integers(0, field.q, size=(w_rows, rows), dtype=np.int64)
-    R, rank, piv = _rref_plain(field, field.matmul(T, M))
-    nonpiv = np.setdiff1d(np.arange(cols), piv)
-    coef = M[:, piv]
-    if nonpiv.size and rank:
-        expect = field.matmul(coef, R[:, nonpiv])
-        if not (M[:, nonpiv] == expect).all():
-            return None
-    elif nonpiv.size:
-        if M[:, nonpiv].any():
-            return None
-    return R, rank, piv
-
-
 def kernel(field: Field, M: np.ndarray) -> np.ndarray:
     """Basis (rows) of {x : M x^T = 0}; row count = cols - rank."""
     M = np.asarray(M, dtype=np.int64)
@@ -145,29 +94,6 @@ def solve(field: Field, M: np.ndarray, b: np.ndarray):
     return x
 
 
-def row_space_sum(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError("column counts differ")
-    R, rank, _ = rref(field, np.vstack([A, B]))
-    return R[:rank]
-
-
-def row_space_intersection(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Zassenhaus: RREF of [[A A], [B 0]]; zero-left rows carry the intersection."""
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError("column counts differ")
-    n = A.shape[1]
-    block = np.zeros((A.shape[0] + B.shape[0], 2 * n), dtype=np.int64)
-    block[: A.shape[0], :n] = A
-    block[: A.shape[0], n:] = A
-    block[A.shape[0] :, :n] = B
-    R, rank, piv = rref(field, block)
-    take = [i for i, c in enumerate(piv) if c >= n]
-    inter = R[take, n:]
-    R2, r2, _ = rref(field, inter)
-    return R2[:r2]
-
-
 def contains(field: Field, A: np.ndarray, v: np.ndarray) -> bool:
     v = np.asarray(v, dtype=np.int64).reshape(-1)
     if v.size != A.shape[1]:
@@ -176,111 +102,3 @@ def contains(field: Field, A: np.ndarray, v: np.ndarray) -> bool:
     _, rank_b, _ = rref(field, np.vstack([A, v[None, :]]))
     return rank_a == rank_b
 
-
-def reduce_against(field: Field, R: np.ndarray, pivots: list[int], V: np.ndarray) -> np.ndarray:
-    """Reduce rows of V modulo an RREF basis (R, pivots); exact remainders."""
-    if R.shape[0] == 0 or V.shape[0] == 0:
-        return np.array(V, copy=True)
-    coef = V[:, pivots]
-    return field.sub(V, field.matmul(coef, R))
-
-
-class MatrixGF:
-    """Immutable dense matrix over GF(q); entries are integer reps."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, field: Field, data, cols: int | None = None):
-        self.field = field
-        a = as_rep_array(field, data, cols)
-        a.setflags(write=False)
-        self.a = a
-
-    # -- constructors -----------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "MatrixGF":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "MatrixGF":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    # -- basic protocol ----------------------------------------------------------
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixGF)
-            and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool((self.a == other.a).all())
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self):
-        return f"MatrixGF({self.field!r}, {self.rows}x{self.cols})"
-
-    def _check_peer(self, other: "MatrixGF"):
-        if self.field != other.field:
-            raise FieldMismatchError("matrices over different fields")
-
-    # -- operations ---------------------------------------------------------------
-
-    def rref(self):
-        R, rank, piv = rref(self.field, self.a)
-        return MatrixGF(self.field, R if rank else np.zeros((0, self.cols), dtype=np.int64)), rank, piv
-
-    def rank(self) -> int:
-        return rref(self.field, self.a)[1]
-
-    def kernel(self) -> "MatrixGF":
-        return MatrixGF(self.field, kernel(self.field, self.a), cols=self.cols)
-
-    def solve(self, b):
-        return solve(self.field, self.a, b)
-
-    def row_space_sum(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_peer(other)
-        return MatrixGF(self.field, row_space_sum(self.field, self.a, other.a), cols=self.cols)
-
-    def row_space_intersection(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_peer(other)
-        return MatrixGF(
-            self.field, row_space_intersection(self.field, self.a, other.a), cols=self.cols
-        )
-
-    def contains(self, v) -> bool:
-        return contains(self.field, self.a, v)
-
-    def matmul(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_peer(other)
-        return MatrixGF(self.field, self.field.matmul(self.a, other.a))
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.a.T.copy())
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[int(x) for x in row] for row in self.a],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MatrixGF":
-        field = Field.from_dict(d["field"])
-        a = np.array(d["entries"], dtype=np.int64).reshape(d["rows"], d["cols"])
-        return cls(field, a)

@@ -152,3 +152,76 @@ def test_malformed_public_key_exit_code(tmp_path):
     bad.write_text(json.dumps({"field": {"p": 3, "k": 2, "modulus": [1, 0, 1]}, "n": 5, "t": 1}))
     assert run_cli(["attack", "--pub", str(bad), "--transcript",
                     str(tmp_path / "t.json")]) == 3
+
+
+@pytest.fixture(scope="module")
+def r3_keys(tmp_path_factory):
+    d = tmp_path_factory.mktemp("r3keys")
+    pub, sec, ct = d / "pub.json", d / "sec.json", d / "ct.json"
+    assert run_cli(["keygen", "--curve", "hermitian", "--r", "3", "--m", "13",
+                    "--seed", "42", "--pub", str(pub), "--sec", str(sec)]) == 0
+    assert run_cli(["encrypt", "--pub", str(pub), "--seed", "1", "--ct", str(ct),
+                    "--msg-out", str(d / "msg.json")]) == 0
+    return {name: json.loads(path.read_text())
+            for name, path in (("pub", pub), ("sec", sec), ("ct", ct))}
+
+
+def _format_error(argv, capsys):
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("format error:")
+
+
+def _decrypt_with(tmp_path, r3_keys, capsys, sec=None, ct=None):
+    (tmp_path / "sec.json").write_text(json.dumps(sec or r3_keys["sec"]))
+    (tmp_path / "ct.json").write_text(json.dumps(ct or r3_keys["ct"]))
+    _format_error(["decrypt", "--sec", str(tmp_path / "sec.json"), "--ct",
+                   str(tmp_path / "ct.json"), "--out", str(tmp_path / "o.json")], capsys)
+
+
+def test_ciphertext_entry_above_field_format_error(tmp_path, r3_keys, capsys):
+    y = list(r3_keys["ct"]["y"])
+    y[0] = 10**6
+    _decrypt_with(tmp_path, r3_keys, capsys, ct={"y": y})
+
+
+def test_ciphertext_negative_entry_format_error(tmp_path, r3_keys, capsys):
+    y = list(r3_keys["ct"]["y"])
+    y[0] = -1
+    _decrypt_with(tmp_path, r3_keys, capsys, ct={"y": y})
+
+
+def test_permutation_not_bijection_format_error(tmp_path, r3_keys, capsys):
+    sec = dict(r3_keys["sec"])
+    perm = list(sec["permutation"])
+    perm[1] = perm[0]
+    sec["permutation"] = perm
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+def test_scramble_entry_outside_field_format_error(tmp_path, r3_keys, capsys):
+    sec = dict(r3_keys["sec"])
+    sec["scramble"] = [list(row) for row in sec["scramble"]]
+    sec["scramble"][0][0] = 9
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+def test_scramble_not_square_format_error(tmp_path, r3_keys, capsys):
+    sec = dict(r3_keys["sec"])
+    sec["scramble"] = [list(row) for row in sec["scramble"][:-1]]
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+def test_scramble_singular_format_error(tmp_path, r3_keys, capsys):
+    sec = dict(r3_keys["sec"])
+    sec["scramble"] = [list(row) for row in sec["scramble"]]
+    sec["scramble"][1] = list(sec["scramble"][0])
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+def test_public_key_entry_outside_field_format_error(tmp_path, r3_keys, capsys):
+    pub = dict(r3_keys["pub"])
+    pub["g_pub"] = [list(row) for row in pub["g_pub"]]
+    pub["g_pub"][0][0] = 99
+    (tmp_path / "pub.json").write_text(json.dumps(pub))
+    _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
+                   str(tmp_path / "t.json")], capsys)

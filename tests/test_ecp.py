@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +162,32 @@ def test_pair_serialization_round_trip(desk3):
     _, _, pair = desk3
     again = EcpPair.from_dict(pair.to_dict())
     assert again.a == pair.a and again.b == pair.b and again.c == pair.c and again.t == pair.t
+
+
+def test_soundness_check_survives_python_O():
+    # under -O asserts are stripped; a decoded non-codeword must still raise
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from agmceliece import LinearCode, decrypt, encrypt, hermitian_curve, keygen
+        from agmceliece.errors import DecodeFailureError
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        pk, sk = keygen(hermitian_curve(3), 13, seed=42)
+        ct = encrypt(pk, np.ones(pk.k, dtype=np.int64), seed=1)
+        LinearCode.contains = lambda self, v: False
+        try:
+            decrypt(sk, ct)
+        except DecodeFailureError as exc:
+            print(f"raised: {exc}")
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "soundness check failed" in out.stdout
