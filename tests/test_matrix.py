@@ -42,8 +42,20 @@ def test_rref_idempotent_and_canonical(rng):
                 break
         R3, rank3, _ = mx.rref(F, F.matmul(S, M))
         assert rank3 == rank and (R3 == R).all()
-    # tall case: 290 combinations of 32 rows, then 8 independent rows; after
-    # 32 pivots the combinations are dead, rref drops them and eliminates on
+
+
+def test_fast_rref_cross_check(rng):
+    # a tall matrix of combinations of a few rows must reduce exactly like
+    # the rows themselves: same rank, pivots and canonical form
+    F = GF(9)
+    for _ in range(10):
+        base = random_matrix(F, rng.randrange(1, 12), 16, rng)
+        tall = F.matmul(random_matrix(F, 500, base.shape[0], rng), base)
+        Rt, rank_t, piv_t = mx.rref(F, tall)
+        R, rank, piv = mx.rref(F, base)
+        assert rank_t == rank and piv_t == piv and (Rt == R).all()
+    # 290 combinations of 32 rows, then 8 independent rows; after 32 pivots
+    # the combinations are dead, rref drops them and eliminates on
     base = random_matrix(F, 40, 48, rng)
     R, rank, piv = mx.rref(F, base)
     assert rank >= 33
