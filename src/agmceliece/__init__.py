@@ -13,7 +13,7 @@ from .curve import (
     public_code,
     suzuki_curve,
 )
-from .ecp import EcpPair, EcpReport, ecp_decode, verify_ecp
+from .ecp import Decoder, EcpPair, EcpReport, ecp_decode, verify_ecp
 from .mceliece import (
     Ciphertext,
     PublicKey,
@@ -46,7 +46,7 @@ __all__ = [
     "Field", "GF", "LinearCode",
     "OnePointCurve", "hermitian_curve", "suzuki_curve", "custom_curve",
     "curve_from_descriptor", "ag_code", "public_code", "oracle_filtration",
-    "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",
+    "Decoder", "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",
     "PublicKey", "SecretKey", "Ciphertext", "keygen", "encrypt", "decrypt",
     "legitimate_pair", "designed_bounds", "scheme_t",
     "AttackTranscript", "recover_params", "init_filtration", "filtration_step",

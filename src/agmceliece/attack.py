@@ -16,9 +16,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import LinearCode
-from .ecp import EcpPair, ecp_decode
+from .ecp import Decoder, EcpPair
 from .errors import (
     AttackError,
+    DimensionError,
     FiltrationError,
     ParameterError,
     SquareSaturatedError,
@@ -237,6 +238,8 @@ class AttackTranscript:
     algorithm_used: int
     systems_solved: int
     stage_seconds: dict[str, float] = dc_field(default_factory=dict)
+    # the decoder attack_decrypt prepared for the last G_pub it saw
+    _decoder: Decoder | None = dc_field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -351,10 +354,19 @@ def attack_pipeline(pk, algorithm: int = 2, p_index: int | None = None) -> Attac
 
 
 def attack_decrypt(transcript: AttackTranscript, pk, y) -> np.ndarray:
-    """Decode a ciphertext with the recovered pair and unencode against G_pub."""
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    c, _e = ecp_decode(transcript.pair, y)
-    msg = mx.solve(pk.field, pk.g_pub.T, c)
+    """Decode a ciphertext with the recovered pair and unencode against G_pub.
+
+    The decoder is prepared on the first call and again only when a
+    different G_pub arrives.
+    """
+    decoder = transcript._decoder
+    if decoder is None or not np.array_equal(decoder.g, pk.g_pub):
+        try:
+            decoder = Decoder(transcript.pair, pk.g_pub)
+        except DimensionError as exc:
+            raise AttackError("attack-decrypt", f"public generator: {exc}") from exc
+        transcript._decoder = decoder
+    msg = decoder.decode(y)
     if msg is None:
         raise AttackError("attack-decrypt", "decoded word not in the public row space")
     return msg

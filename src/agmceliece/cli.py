@@ -24,6 +24,7 @@ from .errors import (
     AgmcError,
     AttackError,
     DecodeFailureError,
+    DimensionError,
     FiltrationError,
     FormatError,
     InstanceTooLargeError,
@@ -39,10 +40,8 @@ from .mceliece import (
     designed_bounds,
     encrypt,
     keygen,
-    legitimate_pair,
 )
 from .params import scheme_params
-from . import matrix as mx
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,7 +117,7 @@ def _load_public(path: str) -> PublicKey:
     d = _load_json(path)
     try:
         pk = PublicKey.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise FormatError(f"malformed public key {path}: {exc}") from exc
     if pk.g_pub.ndim != 2 or pk.g_pub.shape[1] != pk.n:
         raise FormatError(f"public key {path}: generator shape mismatch")
@@ -127,20 +126,24 @@ def _load_public(path: str) -> PublicKey:
 
 
 def _load_secret(path: str) -> SecretKey:
+    """Load and validate a secret key, and prepare its decoder.
+
+    A scramble of the wrong size or rank shows only against the code, so it
+    is caught while the decoder is built.
+    """
     d = _load_json(path)
     try:
         sk = SecretKey.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+        field, n = sk.curve.field, sk.curve.n
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise FormatError(f"malformed secret key {path}: {exc}") from exc
-    field, n = sk.curve.field, sk.curve.n
     if sorted(sk.permutation) != list(range(n)):
         raise FormatError(f"secret key {path}: permutation is not a bijection of range({n})")
-    S = sk.scramble
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise FormatError(f"secret key {path}: scramble matrix is not square")
-    _check_reps(f"secret key {path} scramble", S, field.q)
-    if mx.rref(field, S)[1] != S.shape[0]:
-        raise FormatError(f"secret key {path}: scramble matrix is singular")
+    _check_reps(f"secret key {path} scramble", sk.scramble, field.q)
+    try:
+        sk.decoder
+    except (DimensionError, ParameterError) as exc:
+        raise FormatError(f"secret key {path}: {exc}") from exc
     return sk
 
 
@@ -242,7 +245,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     sk = _load_secret(args.sec)
-    pair = legitimate_pair(sk)
+    pair = sk.decoder.pair
     g = sk.curve.genus
     if args.exact:
         report = verify_ecp(pair)

@@ -23,7 +23,7 @@ _ENUM_GUARD = 1 << 24
 class LinearCode:
     """Subspace of GF(q)^n, canonical generator rows."""
 
-    __slots__ = ("field", "n", "gen")
+    __slots__ = ("field", "n", "gen", "pivots")
 
     def __init__(self, field: Field, n: int, gen_rows):
         self.field = field
@@ -31,10 +31,11 @@ class LinearCode:
         a = mx.as_rep_array(field, gen_rows, cols=self.n)
         if a.shape[1] != self.n:
             raise DimensionError(f"generator has {a.shape[1]} cols, expected {self.n}")
-        R, rank, _ = mx.rref(field, a)
+        R, rank, piv = mx.rref(field, a)
         g = R[:rank].copy() if rank else np.zeros((0, self.n), dtype=np.int64)
         g.setflags(write=False)
         self.gen = g
+        self.pivots = np.array(piv, dtype=np.int64)
 
     # -- basics -------------------------------------------------------------------
 
@@ -76,7 +77,12 @@ class LinearCode:
         return cls(field, n, np.ones((1, n), dtype=np.int64))
 
     def contains(self, v) -> bool:
-        return mx.contains(self.field, self.gen, v)
+        """Exact membership: gen is canonical, so v is a codeword iff
+        v = v[pivots] * gen."""
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        if v.size != self.n:
+            raise DimensionError(f"vector length {v.size} != n = {self.n}")
+        return not self.field.sub(v, self.field.matmul(v[self.pivots], self.gen).ravel()).any()
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
         self._check_peer(other)

@@ -4,12 +4,14 @@ The decoder is the standard kernel/erasure realization: find a nonzero
 locator a in A with (a * y) orthogonal to B, read the candidate error
 support off a's zero set, then solve the erasure system from C's parity
 checks.  Every returned codeword is checked against C unconditionally, also
-under `python -O`.
+under `python -O`.  A `Decoder` prepares a pair and a generator matrix of C
+once, for receivers that decode many words into messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +33,11 @@ class EcpPair:
         n = self.c.n
         if self.a.n != n or self.b.n != n:
             raise DimensionError("pair codes must share the length of C")
+
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """C's parity-check matrix, computed once per pair."""
+        return self.c.parity_check()
 
     def to_dict(self) -> dict:
         return {"A": self.a.to_dict(), "B": self.b.to_dict(), "t": self.t,
@@ -123,7 +130,7 @@ def ecp_decode(pair: EcpPair, y, collect_locators: bool = False):
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     if y.size != n:
         raise DimensionError(f"received word has length {y.size}, expected {n}")
-    H = pair.c.parity_check()
+    H = pair.parity_check
     syndrome = F.matmul(H, y[:, None]).ravel() if H.shape[0] else np.zeros(0, dtype=np.int64)
     locators = _locator_space(pair, y)
     if locators.shape[0] == 0:
@@ -155,3 +162,48 @@ def ecp_decode(pair: EcpPair, y, collect_locators: bool = False):
     raise DecodeFailureError(
         f"no locator of {tried} candidates produced a consistent weight-<={pair.t} error"
     )
+
+
+class Decoder:
+    """An error-correcting pair prepared to decode many words into messages.
+
+    Built once from the pair and a k x n generator matrix G of C with
+    independent rows.  It keeps C's parity check (on the pair), an
+    information set I of G (the pivot columns of rref(G)) and G[:, I]^-1, so
+    a decode is `ecp_decode` plus one matmul, msg = c[I] * G[:, I]^-1, and an
+    exact check that msg * G = c.
+    """
+
+    __slots__ = ("pair", "g", "info_set", "info_inv")
+
+    def __init__(self, pair: EcpPair, g):
+        F, n = pair.c.field, pair.c.n
+        g = np.array(g, dtype=np.int64)
+        if g.ndim != 2 or g.shape[1] != n:
+            raise DimensionError(f"generator has shape {g.shape}, expected (k, {n})")
+        k = g.shape[0]
+        _, rank, piv = mx.rref(F, g)
+        if rank != k:
+            raise DimensionError(f"generator has rank {rank}, expected {k}")
+        # rref([G_I | 1]) = [1 | G_I^-1]
+        R, _, _ = mx.rref(F, np.hstack([g[:, piv], np.eye(k, dtype=np.int64)]))
+        g.setflags(write=False)
+        pair.parity_check  # computed here once, not by the first decode
+        self.pair = pair
+        self.g = g
+        self.info_set = np.array(piv, dtype=np.int64)
+        self.info_inv = R[:, k:]
+
+    def decode(self, y) -> np.ndarray | None:
+        """The message whose codeword is within t of y, or None when the
+        decoded codeword lies outside the row space of G.
+
+        Decoding failures of the pair raise DecodeFailureError, a word of the
+        wrong length DimensionError.
+        """
+        F = self.pair.c.field
+        c, _e = ecp_decode(self.pair, y)
+        msg = F.matmul(c[self.info_set], self.info_inv).ravel()
+        if not np.array_equal(F.matmul(msg, self.g).ravel(), c):
+            return None
+        return msg

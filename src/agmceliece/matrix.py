@@ -93,12 +93,3 @@ def solve(field: Field, M: np.ndarray, b: np.ndarray):
     x[piv] = R[:rank, -1]
     return x
 
-
-def contains(field: Field, A: np.ndarray, v: np.ndarray) -> bool:
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
-    if v.size != A.shape[1]:
-        raise DimensionError(f"vector length {v.size} != cols {A.shape[1]}")
-    _, rank_a, _ = rref(field, A)
-    _, rank_b, _ = rref(field, np.vstack([A, v[None, :]]))
-    return rank_a == rank_b
-

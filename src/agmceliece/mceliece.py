@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .code import LinearCode
 from .curve import OnePointCurve, ag_code, curve_from_descriptor
-from .ecp import EcpPair, ecp_decode
+from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
 from .field import Field
 from . import matrix as mx
@@ -26,6 +26,19 @@ from . import matrix as mx
 def derive_seed(master: int, tag: str) -> int:
     h = hashlib.sha256(f"{master}:{tag}".encode()).digest()
     return int.from_bytes(h[:8], "big")
+
+
+def _ints(data, what: str) -> np.ndarray:
+    """JSON integers (a scalar or nested lists) as int64.
+
+    Floats and bools are refused rather than truncated: 0.5 would otherwise
+    read as 0 and a tampered artifact would pass for the original.
+    """
+    a = np.array(data, dtype=object)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and -(1 << 63) <= v < 1 << 63 for v in a.flat):
+        raise ValueError(f"{what}: entries must be 64-bit integers")
+    return a.astype(np.int64)
 
 
 def scheme_t(m: int, g: int) -> int:
@@ -58,8 +71,8 @@ class PublicKey:
     @classmethod
     def from_dict(cls, d: dict) -> "PublicKey":
         field = Field.from_dict(d["field"])
-        g = np.array(d["g_pub"], dtype=np.int64)
-        return cls(field, int(d["n"]), int(d["t"]), g)
+        return cls(field, int(_ints(d["n"], "n")), int(_ints(d["t"], "t")),
+                   _ints(d["g_pub"], "g_pub"))
 
 
 @dataclass
@@ -71,12 +84,20 @@ class SecretKey:
     seed: int
 
     _curve_cache: OnePointCurve | None = None
+    _decoder_cache: Decoder | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def curve(self) -> OnePointCurve:
         if self._curve_cache is None:
             self._curve_cache = curve_from_descriptor(self.curve_descriptor)
         return self._curve_cache
+
+    @property
+    def decoder(self) -> Decoder:
+        """The receiver's decoder for G_pub, prepared on first use."""
+        if self._decoder_cache is None:
+            self._decoder_cache = _legitimate_decoder(self)
+        return self._decoder_cache
 
     def to_dict(self) -> dict:
         return {
@@ -91,10 +112,10 @@ class SecretKey:
     def from_dict(cls, d: dict) -> "SecretKey":
         return cls(
             d["curve"],
-            int(d["m"]),
-            np.array(d["scramble"], dtype=np.int64),
-            [int(i) for i in d["permutation"]],
-            int(d["seed"]),
+            int(_ints(d["m"], "m")),
+            _ints(d["scramble"], "scramble"),
+            _ints(d["permutation"], "permutation").tolist(),
+            int(_ints(d["seed"], "seed")),
         )
 
 
@@ -107,7 +128,7 @@ class Ciphertext:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ciphertext":
-        return cls(np.array(d["y"], dtype=np.int64))
+        return cls(_ints(d["y"], "y"))
 
 
 def _random_invertible(field: Field, k: int, rng: random.Random) -> np.ndarray:
@@ -191,15 +212,22 @@ def legitimate_pair(sk: SecretKey) -> EcpPair:
     return EcpPair(A, B, C, t)
 
 
-def decrypt(sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-    """Recover the message; decode failures propagate."""
+def _legitimate_decoder(sk: SecretKey) -> Decoder:
+    """The legitimate pair with G_pub = S * G_can * P rebuilt from the key."""
     pair = legitimate_pair(sk)
-    c, _e = ecp_decode(pair, ct.y)
+    k = pair.c.k
+    if sk.scramble.shape != (k, k):
+        raise DimensionError(f"scramble matrix has shape {sk.scramble.shape}, expected ({k}, {k})")
     g_pub = _permute_columns(
         sk.curve.field.matmul(sk.scramble, ag_code(sk.curve, sk.m).dual().gen),
         sk.permutation,
     )
-    msg = mx.solve(sk.curve.field, g_pub.T, c)
+    return Decoder(pair, g_pub)
+
+
+def decrypt(sk: SecretKey, ct: Ciphertext) -> np.ndarray:
+    """Recover the message with the key's decoder; decode failures propagate."""
+    msg = sk.decoder.decode(ct.y)
     if msg is None:
         raise DimensionError("decoded word is outside the public row space")
     return msg

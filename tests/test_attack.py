@@ -6,6 +6,7 @@ import pytest
 
 from agmceliece import (
     GF,
+    Ciphertext,
     ag_code,
     attack_decrypt,
     attack_pipeline,
@@ -333,6 +334,69 @@ def test_scramble_permutation_invariance(herm3):
             good += int((attack_decrypt(tr, pk, ct.y) == msg).all())
         results.append((tr.recovered_m, tr.recovered_g, good))
     assert all(res == (13, 3, 20) for res in results)
+
+
+
+# -- prepared decoders ---------------------------------------------------------------
+
+@pytest.mark.parametrize("desk", ["desk3", "desk4"])
+def test_both_receivers_decode_every_weight(desk, request):
+    # weights 0..t through one prepared decoder per receiver
+    pk, sk = request.getfixturevalue(desk)
+    tr = attack_pipeline(pk)
+    rng = random.Random(61)
+    for w in range(pk.t + 1):
+        for i in range(3):
+            msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
+            ct = encrypt(pk, msg, seed=123_000 + 10 * w + i, weight=w)
+            assert (decrypt(sk, ct) == msg).all()
+            assert (attack_decrypt(tr, pk, ct.y) == msg).all()
+            if w == i == 0:
+                legit, attacker = sk.decoder, tr._decoder
+    assert sk.decoder is legit and tr._decoder is attacker
+
+
+def test_word_outside_row_space_raises(desk3, monkeypatch):
+    from agmceliece import PublicKey
+    from agmceliece import ecp as ecp_mod
+    from agmceliece.errors import DimensionError
+
+    pk, sk = desk3
+    tr = attack_pipeline(pk)
+    rng = random.Random(62)
+    msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
+    y = pk.field.matmul(msg[None, :], pk.g_pub).ravel()
+    # a public generator of another code: the decoded word is not in its span
+    other = pk.g_pub.copy()
+    other[0] = [pk.field.random_rep(rng) for _ in range(pk.n)]
+    with pytest.raises(AttackError):
+        attack_decrypt(tr, PublicKey(pk.field, pk.n, pk.t, other), y)
+    # a pair that hands back a word outside C
+    y[0] = pk.field.add(int(y[0]), 1)
+    monkeypatch.setattr(ecp_mod, "ecp_decode", lambda pair, word: (word, 0 * word))
+    with pytest.raises(DimensionError):
+        decrypt(sk, Ciphertext(y))
+    with pytest.raises(AttackError):
+        attack_decrypt(tr, pk, y)
+
+
+def test_transcript_decoder_follows_the_public_key(desk3):
+    # a re-scrambled G_pub spans the same code: one transcript serves both
+    # keys, and its decoder is prepared again whenever G_pub changes
+    from agmceliece import PublicKey
+    from agmceliece.mceliece import _random_invertible
+
+    pk, _ = desk3
+    S = _random_invertible(pk.field, pk.k, random.Random(63))
+    pk2 = PublicKey(pk.field, pk.n, pk.t, pk.field.matmul(S, pk.g_pub))
+    tr = attack_pipeline(pk)
+    rng = random.Random(64)
+    for i in range(6):
+        key = (pk, pk2)[i % 2]
+        msg = np.array([key.field.random_rep(rng) for _ in range(key.k)])
+        ct = encrypt(key, msg, seed=124_000 + i)
+        assert (attack_decrypt(tr, key, ct.y) == msg).all()
+        assert np.array_equal(tr._decoder.g, key.g_pub)
 
 
 # -- extended attack ---------------------------------------------------------------

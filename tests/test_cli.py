@@ -225,3 +225,24 @@ def test_public_key_entry_outside_field_format_error(tmp_path, r3_keys, capsys):
     (tmp_path / "pub.json").write_text(json.dumps(pub))
     _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
                    str(tmp_path / "t.json")], capsys)
+
+
+def test_scramble_of_wrong_size_format_error(tmp_path, r3_keys, capsys):
+    # square and invertible, but (k-1) x (k-1): only the code knows k
+    sec = dict(r3_keys["sec"])
+    k1 = len(sec["scramble"]) - 1
+    sec["scramble"] = [[int(i == j) for j in range(k1)] for i in range(k1)]
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+def test_non_integer_ciphertext_entries_format_error(tmp_path, r3_keys, capsys):
+    # 0.5 would truncate to 0 and decrypt to the original message
+    _decrypt_with(tmp_path, r3_keys, capsys, ct={"y": [v + 0.5 for v in r3_keys["ct"]["y"]]})
+
+
+def test_reducible_field_modulus_format_error(tmp_path, r3_keys, capsys):
+    pub = dict(r3_keys["pub"])
+    pub["field"] = dict(pub["field"], modulus=[0, 0, 1])
+    (tmp_path / "pub.json").write_text(json.dumps(pub))
+    _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
+                   str(tmp_path / "t.json")], capsys)

@@ -166,3 +166,52 @@ def test_unencode_rejects_non_codeword():
 def test_serialization_round_trip(rng):
     C = random_code(GF(9), 6, 3, rng)
     assert LinearCode.from_dict(C.to_dict()) == C
+
+
+def test_contains():
+    F = GF(2)
+    C = LinearCode(F, 4, [[1, 0, 1, 0], [0, 1, 1, 0]])
+    for row in ([1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]):
+        assert C.contains(np.array(row))
+    assert C.contains(np.zeros(4, dtype=np.int64))
+    assert not C.contains(np.array([0, 0, 0, 1]))
+    assert LinearCode.zero(F, 4).contains(np.zeros(4, dtype=np.int64))
+    assert not LinearCode.zero(F, 4).contains(np.array([0, 1, 0, 0]))
+    with pytest.raises(DimensionError):
+        C.contains(np.array([1, 0]))
+
+
+def test_contains_exhaustive_subspace_gf2():
+    # proper subspace of GF(2)^8 given by non-canonical rows: membership
+    # matches explicit span listing
+    F = GF(2)
+    A = np.array(
+        [[1, 0, 0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 0, 1, 1]]
+    )
+    C = LinearCode(F, 8, A[::-1])
+    span = set()
+    for bits in range(8):
+        v = np.zeros(8, dtype=np.int64)
+        for j in range(3):
+            if bits >> j & 1:
+                v ^= A[j]
+        span.add(tuple(v))
+    for val in range(256):
+        v = np.array([(val >> i) & 1 for i in range(8)], dtype=np.int64)
+        assert C.contains(v) == (tuple(v) in span)
+
+
+def test_contains_matches_rank_test_gf9(rng):
+    # over an extension field: v is in C iff appending v keeps the rank
+    from agmceliece import matrix as mx
+
+    F = GF(9)
+    for _ in range(40):
+        C = random_code(F, 9, rng.randrange(1, 8), rng)
+        inside = F.matmul(
+            np.array([[F.random_rep(rng) for _ in range(C.k)]]), C.gen
+        ).ravel()
+        outside = np.array([F.random_rep(rng) for _ in range(9)])
+        assert C.contains(inside)
+        rank = mx.rref(F, np.vstack([C.gen, outside]))[1]
+        assert C.contains(outside) == (rank == C.k)

@@ -101,32 +101,3 @@ def test_solve_consistent_random(rng):
         assert x is not None
         assert (F.matmul(M, x[:, None]).ravel() == b).all()
 
-
-def test_contains():
-    F = GF(2)
-    A = np.array([[1, 0, 1, 0], [0, 1, 1, 0]])
-    for row in A:
-        assert mx.contains(F, A, row)
-    assert mx.contains(F, A, np.zeros(4, dtype=np.int64))
-    assert not mx.contains(F, A, np.array([0, 0, 0, 1]))
-    with pytest.raises(DimensionError):
-        mx.contains(F, A, np.array([1, 0]))
-
-
-def test_contains_exhaustive_subspace_gf2():
-    # proper subspace of GF(2)^8: membership matches explicit span listing
-    F = GF(2)
-    A = np.array(
-        [[1, 0, 0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 0, 1, 1]]
-    )
-    span = set()
-    for bits in range(8):
-        v = np.zeros(8, dtype=np.int64)
-        for j in range(3):
-            if bits >> j & 1:
-                v ^= A[j]
-        span.add(tuple(v))
-    for val in range(256):
-        v = np.array([(val >> i) & 1 for i in range(8)], dtype=np.int64)
-        assert mx.contains(F, A, v) == (tuple(v) in span)
-

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -102,6 +103,36 @@ def test_decrypt_round_trip_many(desk3):
         msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
         ct = encrypt(pk, msg, seed=10_000 + trial)
         assert (decrypt(sk, ct) == msg).all()
+
+
+
+def test_decrypt_prepares_the_decoder_once(herm3, monkeypatch):
+    from agmceliece import mceliece as mc
+
+    pk, sk = keygen(herm3, 13, seed=43)
+    calls = {"legitimate_pair": 0, "ag_code": 0}
+
+    def counted(name):
+        fn = getattr(mc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mc, name, counted(name))
+    rng = random.Random(21)
+    for trial in range(10):
+        msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
+        ct = encrypt(pk, msg, seed=20_000 + trial)
+        assert (decrypt(sk, ct) == msg).all()
+        if trial == 0:
+            first = dict(calls)
+    # legitimate_pair and the ag_codes of the one build, nothing after it
+    assert first["legitimate_pair"] == 1 and first["ag_code"] > 0
+    assert calls == first
+    assert "decoder" not in json.dumps(sk.to_dict())
 
 
 def test_decrypt_zero_message_zero_error(desk3):
