@@ -2,9 +2,9 @@
 pair and decrypt.
 
 Pipeline: recover (m, g) from the Schur square of the dual, compute the
-P-filtration B_s = C_L(F - s*P) down to s = t+g+1 by solving the two
-characterizing linear problems, repair the forced zero coordinate, and take
-A0 = (B_hat * C_pub)^perp.  Everything uses only the public row space.
+P-filtration B_s = C_L(F - s*P) down to s = t+g+1 as conductors,
+B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)), repair the forced zero coordinate,
+and take A0 = (B_hat * C_pub)^perp.  Everything uses only the public row space.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .code import LinearCode
+from .code import LinearCode, conductor
 from .ecp import Decoder, EcpPair
 from .errors import (
     AttackError,
@@ -24,7 +24,6 @@ from .errors import (
     ParameterError,
     SquareSaturatedError,
 )
-from . import matrix as mx
 
 
 # -- Step 1: parameter recovery -------------------------------------------------
@@ -74,37 +73,22 @@ def init_filtration(C: LinearCode, p_index: int) -> tuple[LinearCode, LinearCode
 def _solution_space(
     candidate: LinearCode, partner: LinearCode, product_space: LinearCode
 ) -> LinearCode:
-    """Solve  z in candidate  and  z * partner  contained in  product_space.
-
-    Returns the solution space, canonical.  One block of linear constraints
-    per basis vector of `partner`, unknowns = coefficients over `candidate`.
-    """
-    F = candidate.field
-    n = candidate.n
-    if product_space.k >= n:
+    """candidate ∩ Cond(partner, product_space): the z in candidate with
+    z * partner contained in product_space, canonical."""
+    if product_space.k >= candidate.n:
         raise FiltrationError(
             "product space saturates the ambient space; constraints are vacuous "
             "(parameters outside the guaranteed regime)"
         )
-    H = product_space.parity_check()          # (n - kS) x n
-    G = candidate.gen                          # kc x n
-    kc = G.shape[0]
-    blocks = []
-    for b in partner.gen:
-        # rows: H @ (G * b)^T  -> (n - kS) x kc
-        blocks.append(F.matmul(H, F.mul(G, b[None, :]).T))
-    M = np.vstack(blocks) if blocks else np.zeros((0, kc), dtype=np.int64)
-    coeff = mx.kernel(F, M)
-    rows = (
-        F.matmul(coeff, G) if coeff.shape[0] else np.zeros((0, n), dtype=np.int64)
-    )
-    return LinearCode(F, n, rows)
+    F = candidate.field
+    rows = conductor(F, candidate.gen, partner.gen, product_space.parity_check())
+    return LinearCode(F, candidate.n, rows)
 
 
 def filtration_step(
     B_s: LinearCode, B_sm1: LinearCode, expect_drop: bool = True
 ) -> LinearCode:
-    """B_{s+1} = { z in B_s : z * B_{s-1} within (B_s)^2 }."""
+    """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2))."""
     out = _solution_space(B_s, B_sm1, B_s.schur_square())
     if expect_drop and out.k != B_s.k - 1:
         raise FiltrationError(
@@ -116,8 +100,8 @@ def filtration_step(
 def filtration_step_doubling(
     B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode, expected_dim: int | None = None
 ) -> LinearCode:
-    """B_s from B_hi = B_floor((s+1)/2) and B_lo = B_floor(s/2):
-    z in B_hi  and  z * B_0  within  B_lo * B_hi."""
+    """B_s = B_hi ∩ Cond(B_0, B_lo * B_hi), from B_hi = B_floor((s+1)/2) and
+    B_lo = B_floor(s/2)."""
     out = _solution_space(B_hi, B_0, B_lo.schur_product(B_hi))
     if expected_dim is not None and out.k != expected_dim:
         raise FiltrationError(

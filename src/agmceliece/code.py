@@ -108,7 +108,9 @@ class LinearCode:
             return LinearCode.zero(self.field, self.n)
         if self is other or self == other:
             return self.schur_square()
-        prods = schur_generators(self.field, self.gen, other.gen)
+        prods = self.field.mul(
+            np.repeat(self.gen, other.k, axis=0), np.tile(other.gen, (self.k, 1))
+        )
         return LinearCode(self.field, self.n, prods)
 
     def schur_square(self) -> "LinearCode":
@@ -226,15 +228,6 @@ class LinearCode:
             return np.zeros(self.n, dtype=np.int64)
         return self.field.matmul(msg[None, :], self.gen).ravel()
 
-    def unencode(self, word) -> np.ndarray:
-        word = np.asarray(word, dtype=np.int64).reshape(-1)
-        if word.size != self.n:
-            raise DimensionError(f"word length {word.size} != n = {self.n}")
-        msg = mx.solve(self.field, self.gen.T, word)
-        if msg is None:
-            raise DimensionError("vector is not a codeword")
-        return msg
-
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -253,11 +246,18 @@ class LinearCode:
         return cls(field, int(d["n"]), gen)
 
 
-def schur_generators(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All pairwise coordinatewise products of rows of A and rows of B."""
-    if A.shape[1] != B.shape[1]:
-        raise DimensionError("length mismatch in Schur product")
-    ka, kb = A.shape[0], B.shape[0]
-    return field.mul(
-        np.repeat(A, kb, axis=0), np.tile(B, (ka, 1))
-    )
+def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Rows spanning {z in row(X) : H (z*y)^T = 0 for every row y of Y}.
+
+    With H a parity check of S this is row(X) ∩ Cond(row(Y), S), where
+    Cond(Y, S) = {z : z*Y within S} = (Y*S^perp)^perp is the conductor of Y
+    into S.  The unknowns are coefficients over the rows of X, constrained by
+    one block H (X*y)^T per row y of Y.  The rows are independent when X's
+    are, but not canonical: wrap them in LinearCode for a canonical code.
+    """
+    blocks = [field.matmul(H, field.mul(X, y[None, :]).T) for y in Y]
+    M = np.vstack(blocks) if blocks else np.zeros((0, X.shape[0]), dtype=np.int64)
+    coeff = mx.kernel(field, M)
+    if coeff.shape[0] == 0:
+        return np.zeros((0, X.shape[1]), dtype=np.int64)
+    return field.matmul(coeff, X)

@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, GF
+from .field import Field, GF, _ints
 from .code import LinearCode
 from . import matrix as mx
 
@@ -385,16 +385,16 @@ def suzuki_curve(q0: int) -> SuzukiCurve:
 def curve_from_descriptor(d: dict) -> OnePointCurve:
     kind = d["kind"]
     if kind == "hermitian":
-        return hermitian_curve(int(d["r"]))
+        return hermitian_curve(int(_ints(d["r"], "r")))
     if kind == "suzuki":
-        return suzuki_curve(int(d["q0"]))
+        return suzuki_curve(int(_ints(d["q0"], "q0")))
     if kind == "custom":
         return custom_curve(
             Field.from_dict(d["field"]),
-            int(d["genus"]),
-            d["points"],
-            [int(o) for o in d["gen_orders"]],
-            d["gen_values"],
+            int(_ints(d["genus"], "genus")),
+            _ints(d["points"], "points"),
+            _ints(d["gen_orders"], "gen_orders").tolist(),
+            [_ints(v, "gen_values") for v in d["gen_values"]],
             d.get("exp_bounds"),
         )
     raise ParameterError(f"unknown curve kind {kind!r}")

@@ -1,11 +1,12 @@
 """Decoding with a t-error-correcting pair (A, B) for a code C.
 
 The decoder is the standard kernel/erasure realization: find a nonzero
-locator a in A with (a * y) orthogonal to B, read the candidate error
-support off a's zero set, then solve the erasure system from C's parity
-checks.  Every returned codeword is checked against C unconditionally, also
-under `python -O`.  A `Decoder` prepares a pair and a generator matrix of C
-once, for receivers that decode many words into messages.
+locator a in M(y) = A ∩ Cond(<y>, B^perp), i.e. with (a * y) orthogonal to
+B, read the candidate error support off a's zero set, then solve the
+erasure system from C's parity checks.  Every returned codeword is checked
+against C unconditionally, also under `python -O`.  A `Decoder` prepares a
+pair and a generator matrix of C once, for receivers that decode many words
+into messages.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import LinearCode
+from .code import LinearCode, conductor
 from .errors import DecodeFailureError, DimensionError
 from . import matrix as mx
 
@@ -84,7 +85,8 @@ def verify_ecp(pair: EcpPair, designed: tuple[int, int, int] | None = None) -> E
     """
     A, B, C, t = pair.a, pair.b, pair.c, pair.t
     n = C.n
-    e1 = A.schur_product(B).is_subcode_of(C.dual())
+    # E.1: A within Cond(B, C^perp); C's generator is a parity check of C^perp
+    e1 = conductor(A.field, A.gen, B.gen, C.gen).shape[0] == A.k
     e2 = A.k > t
     details: dict = {}
     if designed is not None:
@@ -105,20 +107,7 @@ def verify_ecp(pair: EcpPair, designed: tuple[int, int, int] | None = None) -> E
     return EcpReport(e1, e2, e3, e4, mode="exact", details=details)
 
 
-def _locator_space(pair: EcpPair, y: np.ndarray) -> np.ndarray:
-    """Basis of M(y) = {a in A : (a*y) . b = 0 for all b in B}, as rows."""
-    F = pair.a.field
-    GA = pair.a.gen
-    GB = pair.b.gen
-    # K[j, i] = (a_i * y) . b_j  ==>  K = GB @ (GA * y)^T; want K lambda^T = 0
-    K = F.matmul(GB, F.mul(GA, y[None, :]).T)
-    coeff = mx.kernel(F, K)  # rows: coefficient vectors over GA
-    if coeff.shape[0] == 0:
-        return np.zeros((0, pair.c.n), dtype=np.int64)
-    return F.matmul(coeff, GA)
-
-
-def ecp_decode(pair: EcpPair, y, collect_locators: bool = False):
+def ecp_decode(pair: EcpPair, y):
     """Split y = c + e with c in C and wt(e) <= t, or raise DecodeFailureError.
 
     Locator candidates are tried in canonical basis order; an inconsistent or
@@ -132,7 +121,8 @@ def ecp_decode(pair: EcpPair, y, collect_locators: bool = False):
         raise DimensionError(f"received word has length {y.size}, expected {n}")
     H = pair.parity_check
     syndrome = F.matmul(H, y[:, None]).ravel() if H.shape[0] else np.zeros(0, dtype=np.int64)
-    locators = _locator_space(pair, y)
+    # M(y) = A ∩ Cond(<y>, B^perp); B's generator is a parity check of B^perp
+    locators = conductor(F, pair.a.gen, y[None, :], pair.b.gen)
     if locators.shape[0] == 0:
         raise DecodeFailureError("pair cannot locate: M(y) = 0")
     tried = 0
@@ -156,8 +146,6 @@ def ecp_decode(pair: EcpPair, y, collect_locators: bool = False):
         c = F.sub(y, e)
         if not pair.c.contains(c):
             raise DecodeFailureError("soundness check failed: decoded word is not in C")
-        if collect_locators:
-            return c, e, locators
         return c, e
     raise DecodeFailureError(
         f"no locator of {tried} candidates produced a consistent weight-<={pair.t} error"

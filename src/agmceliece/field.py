@@ -18,6 +18,19 @@ MAX_ORDER = 1 << 16
 _FULL_TABLE_LIMIT = 256
 
 
+def _ints(data, what: str) -> np.ndarray:
+    """JSON integers (a scalar or nested lists) as int64.
+
+    Floats and bools are refused rather than truncated: 0.5 would otherwise
+    read as 0 and a tampered artifact would pass for the original.
+    """
+    a = np.array(data, dtype=object)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and -(1 << 63) <= v < 1 << 63 for v in a.flat):
+        raise ValueError(f"{what}: entries must be 64-bit integers")
+    return a.astype(np.int64)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -164,21 +177,21 @@ class Field:
                     conv[deg - k + i] = (conv[deg - k + i] - c * self.modulus[i]) % p
         return self._pack(conv[:k])
 
+    def _raw_pow(self, a: int, e: int) -> int:
+        """Table-free a^e by square-and-multiply, used only before tables exist."""
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._raw_mul(acc, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return acc
+
     def _element_order(self, a: int) -> int:
         order = self.q - 1
         for f in _prime_factors(self.q - 1):
-            while order % f == 0:
-                # a^(order/f) == 1 ?
-                e, acc, base = order // f, 1, a
-                while e:
-                    if e & 1:
-                        acc = self._raw_mul(acc, base)
-                    base = self._raw_mul(base, base)
-                    e >>= 1
-                if acc == 1:
-                    order //= f
-                else:
-                    break
+            while order % f == 0 and self._raw_pow(a, order // f) == 1:
+                order //= f
         return order
 
     def _build_tables(self):
@@ -245,7 +258,8 @@ class Field:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Field":
-        return cls(int(d["p"]), int(d["k"]), [int(c) for c in d["modulus"]])
+        return cls(int(_ints(d["p"], "p")), int(_ints(d["k"], "k")),
+                   _ints(d["modulus"], "modulus").tolist())
 
     # -- rep arithmetic (ints or numpy arrays of reps) -------------------------
 
@@ -265,8 +279,6 @@ class Field:
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
-        if self.p == 2:
-            return a if isinstance(a, np.ndarray) else a
         return self._neg_table[a]
 
     def sub(self, a, b):
@@ -400,19 +412,9 @@ def _canonical_modulus(p: int, k: int) -> list[int]:
         probe = Field.__new__(Field)
         probe.p, probe.k, probe.q = p, k, q
         probe.modulus = tuple(coeffs)
-        if all(_probe_pow_x(probe, (q - 1) // f) != 1 for f in factors):
+        if all(probe._raw_pow(p, (q - 1) // f) != 1 for f in factors):
             return coeffs
     raise AssertionError(f"no primitive polynomial found for GF({p}^{k})")
-
-
-def _probe_pow_x(probe: Field, e: int) -> int:
-    acc, base = 1, probe.p
-    while e:
-        if e & 1:
-            acc = probe._raw_mul(acc, base)
-        base = probe._raw_mul(base, base)
-        e >>= 1
-    return acc
 
 
 _FIELD_CACHE: dict = {}

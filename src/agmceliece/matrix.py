@@ -77,19 +77,3 @@ def kernel(field: Field, M: np.ndarray) -> np.ndarray:
     if rank and free:
         K[:, piv] = field.neg(R[:rank, free].T)
     return K
-
-
-def solve(field: Field, M: np.ndarray, b: np.ndarray):
-    """Some x with M x^T = b^T, or None when the system is inconsistent."""
-    M = np.asarray(M, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if b.size != M.shape[0]:
-        raise DimensionError(f"rhs length {b.size} != rows {M.shape[0]}")
-    aug = np.hstack([M, b[:, None]])
-    R, rank, piv = rref(field, aug)
-    if piv and piv[-1] == M.shape[1]:
-        return None
-    x = np.zeros(M.shape[1], dtype=np.int64)
-    x[piv] = R[:rank, -1]
-    return x
-

@@ -19,26 +19,13 @@ from .code import LinearCode
 from .curve import OnePointCurve, ag_code, curve_from_descriptor
 from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
-from .field import Field
+from .field import Field, _ints
 from . import matrix as mx
 
 
 def derive_seed(master: int, tag: str) -> int:
     h = hashlib.sha256(f"{master}:{tag}".encode()).digest()
     return int.from_bytes(h[:8], "big")
-
-
-def _ints(data, what: str) -> np.ndarray:
-    """JSON integers (a scalar or nested lists) as int64.
-
-    Floats and bools are refused rather than truncated: 0.5 would otherwise
-    read as 0 and a tampered artifact would pass for the original.
-    """
-    a = np.array(data, dtype=object)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               and -(1 << 63) <= v < 1 << 63 for v in a.flat):
-        raise ValueError(f"{what}: entries must be 64-bit integers")
-    return a.astype(np.int64)
 
 
 def scheme_t(m: int, g: int) -> int:
@@ -195,6 +182,12 @@ def encrypt(pk: PublicKey, msg, seed: int, weight: int | None = None) -> Ciphert
 
 def legitimate_pair(sk: SecretKey) -> EcpPair:
     """The receiver's pair A = C_L((t+g)Pinf), B = C_L((m-t-g)Pinf), permuted."""
+    return _pair_and_g_can(sk)[0]
+
+
+def _pair_and_g_can(sk: SecretKey) -> tuple[EcpPair, np.ndarray]:
+    """The legitimate pair and G_can, the canonical generator of
+    C = C_L(m Pinf)^perp before the permutation; C is dualised once for both."""
     curve = sk.curve
     g = curve.genus
     t = scheme_t(sk.m, g)
@@ -206,22 +199,18 @@ def legitimate_pair(sk: SecretKey) -> EcpPair:
     B = LinearCode(
         curve.field, curve.n, _permute_columns(ag_code(curve, sk.m - deg_e).gen, perm)
     )
-    C = LinearCode(
-        curve.field, curve.n, _permute_columns(ag_code(curve, sk.m).dual().gen, perm)
-    )
-    return EcpPair(A, B, C, t)
+    g_can = ag_code(curve, sk.m).dual().gen
+    C = LinearCode(curve.field, curve.n, _permute_columns(g_can, perm))
+    return EcpPair(A, B, C, t), g_can
 
 
 def _legitimate_decoder(sk: SecretKey) -> Decoder:
     """The legitimate pair with G_pub = S * G_can * P rebuilt from the key."""
-    pair = legitimate_pair(sk)
+    pair, g_can = _pair_and_g_can(sk)
     k = pair.c.k
     if sk.scramble.shape != (k, k):
         raise DimensionError(f"scramble matrix has shape {sk.scramble.shape}, expected ({k}, {k})")
-    g_pub = _permute_columns(
-        sk.curve.field.matmul(sk.scramble, ag_code(sk.curve, sk.m).dual().gen),
-        sk.permutation,
-    )
+    g_pub = _permute_columns(sk.curve.field.matmul(sk.scramble, g_can), sk.permutation)
     return Decoder(pair, g_pub)
 
 

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from agmceliece import LinearCode, hermitian_curve, suzuki_curve
 
@@ -50,3 +51,13 @@ def random_matrix(field, rows, cols, rng) -> np.ndarray:
     return np.array(
         [[field.random_rep(rng) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
     )
+
+
+@st.composite
+def rep_matrices(draw, field, rows, cols):
+    """Hypothesis strategy: a rows x cols array of reps of `field`; rows and
+    cols are ints or integer strategies."""
+    r = rows if isinstance(rows, int) else draw(rows)
+    c = cols if isinstance(cols, int) else draw(cols)
+    cells = draw(st.lists(st.integers(0, field.q - 1), min_size=r * c, max_size=r * c))
+    return np.array(cells, dtype=np.int64).reshape(r, c)

@@ -246,3 +246,20 @@ def test_reducible_field_modulus_format_error(tmp_path, r3_keys, capsys):
     (tmp_path / "pub.json").write_text(json.dumps(pub))
     _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
                    str(tmp_path / "t.json")], capsys)
+
+
+def test_non_integer_field_modulus_format_error(tmp_path, r3_keys, capsys):
+    # 2.5 would truncate to 2, the original modulus, and the attack would run
+    pub = dict(r3_keys["pub"])
+    pub["field"] = dict(pub["field"], modulus=[c + 0.5 if i == 0 else c for i, c in
+                                               enumerate(pub["field"]["modulus"])])
+    (tmp_path / "pub.json").write_text(json.dumps(pub))
+    _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
+                   str(tmp_path / "t.json")], capsys)
+
+
+def test_non_integer_curve_parameter_format_error(tmp_path, r3_keys, capsys):
+    # r = 3.7 would truncate to 3 and build the key's own curve
+    sec = dict(r3_keys["sec"])
+    sec["curve"] = dict(sec["curve"], r=3.7)
+    _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from agmceliece import GF, LinearCode
-from agmceliece.errors import DimensionError, InstanceTooLargeError
+from agmceliece import GF, Decoder, EcpPair, LinearCode
+from agmceliece.code import conductor
+from agmceliece.errors import DecodeFailureError, DimensionError, InstanceTooLargeError
 
-from conftest import random_code
+from conftest import rep_matrices, random_code
 
 
 def test_dual_of_full_space_is_zero():
@@ -147,20 +149,29 @@ def test_degeneracy_set():
     assert C.zero_coordinates() == [0, 3]
 
 
+def _zero_error_decoder(C: LinearCode) -> Decoder:
+    # (all-ones, C^perp) is a 0-error-correcting pair for C
+    pair = EcpPair(LinearCode.all_ones(C.field, C.n), C.dual(), C, 0)
+    return Decoder(pair, C.gen)
+
+
 def test_encode_unencode_round_trip(rng):
     F = GF(9)
     for _ in range(100):
         C = random_code(F, 7, 3, rng)
         m = np.array([F.random_rep(rng) for _ in range(3)])
-        assert (C.unencode(C.encode(m)) == m).all()
+        c = C.encode(m)
+        assert C.contains(c)
+        assert (_zero_error_decoder(C).decode(c) == m).all()
     assert (random_code(F, 7, 3, rng).encode(np.zeros(3, dtype=np.int64)) == 0).all()
 
 
 def test_unencode_rejects_non_codeword():
     F = GF(2)
     C = LinearCode(F, 4, [[1, 1, 0, 0]])
-    with pytest.raises(DimensionError):
-        C.unencode(np.array([1, 0, 0, 0]))
+    assert not C.contains(np.array([1, 0, 0, 0]))
+    with pytest.raises(DecodeFailureError):
+        _zero_error_decoder(C).decode(np.array([1, 0, 0, 0]))
 
 
 def test_serialization_round_trip(rng):
@@ -215,3 +226,21 @@ def test_contains_matches_rank_test_gf9(rng):
         assert C.contains(inside)
         rank = mx.rref(F, np.vstack([C.gen, outside]))[1]
         assert C.contains(outside) == (rank == C.k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_conductor_matches_its_definition(data):
+    # brute force over row(X): z belongs iff H (z*y)^T = 0 for every row y of Y
+    F = data.draw(st.sampled_from([GF(4), GF(9)]))
+    n = data.draw(st.integers(1, 5))
+    X, Y, H = (data.draw(rep_matrices(F, st.integers(0, 3), n)) for _ in range(3))
+    out = conductor(F, X, Y, H)
+    assert out.shape[1] == n
+    expected = {
+        tuple(z) for z in LinearCode(F, n, X).codewords()
+        if not F.matmul(H, F.mul(Y, z[None, :]).T).any()
+    }
+    assert {tuple(z) for z in LinearCode(F, n, out).codewords()} == expected
+    if LinearCode(F, n, X).k == X.shape[0]:
+        assert LinearCode(F, n, out).k == out.shape[0]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agmceliece import (
     GF,
@@ -18,8 +19,11 @@ from agmceliece import (
     verify_ecp,
     designed_bounds,
 )
+from agmceliece.code import conductor
 from agmceliece.errors import DecodeFailureError, DimensionError
 from agmceliece.mceliece import random_error
+
+from conftest import rep_matrices
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +128,8 @@ def test_locator_zero_set_contains_error_support(desk3):
         cword = pk.field.matmul(msg[None, :], pk.g_pub).ravel()
         e = random_error(pk.field, pk.n, pk.t, rng)
         y = pk.field.add(cword, e)
-        _, _, locators = ecp_decode(pair, y, collect_locators=True)
+        locators = conductor(pk.field, pair.a.gen, y[None, :], pair.b.gen)
+        assert locators.shape[0] > 0
         supp = set(np.nonzero(e)[0])
         for a in locators:
             assert supp <= set(np.nonzero(a == 0)[0])
@@ -191,3 +196,22 @@ def test_soundness_check_survives_python_O():
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert "soundness check failed" in out.stdout
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_e1_conductor_form_matches_product_form(data):
+    # E.1 is checked as A within Cond(B, C^perp); compare with (A*B) within C^perp.
+    # Half the draws take C inside (A*B')^perp for B' spanned by some of B's
+    # rows, where E.1 holds iff the rest of B adds nothing outside C^perp.
+    F = GF(9)
+    n = data.draw(st.integers(1, 6))
+    A, B = (LinearCode(F, n, data.draw(rep_matrices(F, st.integers(0, 3), n)))
+            for _ in range(2))
+    C = LinearCode(F, n, data.draw(rep_matrices(F, st.integers(0, 4), n)))
+    if data.draw(st.booleans()):
+        B_part = LinearCode(F, n, B.gen[: data.draw(st.integers(0, B.k))])
+        perp = A.schur_product(B_part).dual().gen
+        C = LinearCode(F, n, perp[: data.draw(st.integers(0, perp.shape[0]))])
+    expected = A.schur_product(B).is_subcode_of(C.dual())
+    assert verify_ecp(EcpPair(A, B, C, 0), designed=(n, 1, 1)).product_orthogonal == expected

@@ -110,18 +110,16 @@ def test_decrypt_prepares_the_decoder_once(herm3, monkeypatch):
     from agmceliece import mceliece as mc
 
     pk, sk = keygen(herm3, 13, seed=43)
-    calls = {"legitimate_pair": 0, "ag_code": 0}
+    calls = {"ag_code": 0, "dual": 0}
 
-    def counted(name):
-        fn = getattr(mc, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(mc, name, counted(name))
+    monkeypatch.setattr(mc, "ag_code", counted("ag_code", mc.ag_code))
+    monkeypatch.setattr(LinearCode, "dual", counted("dual", LinearCode.dual))
     rng = random.Random(21)
     for trial in range(10):
         msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
@@ -129,8 +127,9 @@ def test_decrypt_prepares_the_decoder_once(herm3, monkeypatch):
         assert (decrypt(sk, ct) == msg).all()
         if trial == 0:
             first = dict(calls)
-    # legitimate_pair and the ag_codes of the one build, nothing after it
-    assert first["legitimate_pair"] == 1 and first["ag_code"] > 0
+    # one build: A, B and C's ag_codes, C dualised once for the pair and
+    # G_pub, and once more for C's parity check; nothing after it
+    assert first == {"ag_code": 3, "dual": 2}
     assert calls == first
     assert "decoder" not in json.dumps(sk.to_dict())
 
