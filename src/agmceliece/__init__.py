@@ -7,7 +7,6 @@ from .curve import (
     OnePointCurve,
     ag_code,
     curve_from_descriptor,
-    custom_curve,
     hermitian_curve,
     oracle_filtration,
     public_code,
@@ -23,7 +22,6 @@ from .mceliece import (
     encrypt,
     keygen,
     legitimate_pair,
-    scheme_t,
 )
 from .attack import (
     AttackTranscript,
@@ -39,12 +37,12 @@ from .attack import (
     run_algorithm_1,
     run_algorithm_2,
 )
-from .params import ParamReport, attack_workfactor, isd_workfactor, scheme_params
+from .params import ParamReport, attack_workfactor, isd_workfactor, scheme_params, scheme_t
 from . import errors
 
 __all__ = [
     "Field", "GF", "LinearCode",
-    "OnePointCurve", "hermitian_curve", "suzuki_curve", "custom_curve",
+    "OnePointCurve", "hermitian_curve", "suzuki_curve",
     "curve_from_descriptor", "ag_code", "public_code", "oracle_filtration",
     "Decoder", "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",
     "PublicKey", "SecretKey", "Ciphertext", "keygen", "encrypt", "decrypt",

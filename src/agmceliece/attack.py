@@ -85,12 +85,10 @@ def _solution_space(
     return LinearCode(F, candidate.n, rows)
 
 
-def filtration_step(
-    B_s: LinearCode, B_sm1: LinearCode, expect_drop: bool = True
-) -> LinearCode:
+def filtration_step(B_s: LinearCode, B_sm1: LinearCode) -> LinearCode:
     """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2))."""
     out = _solution_space(B_s, B_sm1, B_s.schur_square())
-    if expect_drop and out.k != B_s.k - 1:
+    if out.k != B_s.k - 1:
         raise FiltrationError(
             f"filtration step: dimension {B_s.k} -> {out.k}, expected drop of exactly 1"
         )
@@ -98,12 +96,12 @@ def filtration_step(
 
 
 def filtration_step_doubling(
-    B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode, expected_dim: int | None = None
+    B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode, expected_dim: int
 ) -> LinearCode:
     """B_s = B_hi ∩ Cond(B_0, B_lo * B_hi), from B_hi = B_floor((s+1)/2) and
     B_lo = B_floor(s/2)."""
     out = _solution_space(B_hi, B_0, B_lo.schur_product(B_hi))
-    if expected_dim is not None and out.k != expected_dim:
+    if out.k != expected_dim:
         raise FiltrationError(
             f"doubling step: dimension {out.k}, expected {expected_dim}"
         )
@@ -159,8 +157,7 @@ def run_algorithm_2(
                 raise FiltrationError(
                     f"dyadic chain needs B_{hi}, B_{lo} for sigma={sigma}; missing"
                 )
-            expected = filt[0].k - sigma if sigma <= T + 1 else None
-            code = filtration_step_doubling(filt[hi], filt[lo], filt[0], expected)
+            code = filtration_step_doubling(filt[hi], filt[lo], filt[0], filt[0].k - sigma)
             solves += 1
             put(sigma, code)
     return filt, solves
@@ -269,7 +266,7 @@ def guard_algorithm_2(n: int, g: int, m: int, t: int):
     _guard_direct_route(n, m)
 
 
-def attack_pipeline(pk, algorithm: int = 2, p_index: int | None = None) -> AttackTranscript:
+def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
     """Run the five attack steps against a public key.
 
     (m, g) are recovered from the public code alone.
@@ -301,7 +298,7 @@ def attack_pipeline(pk, algorithm: int = 2, p_index: int | None = None) -> Attac
 
     t0 = time.perf_counter()
     try:
-        pi = choose_p_index(C) if p_index is None else p_index
+        pi = choose_p_index(C)
         B0, B1 = init_filtration(C, pi)
         target = t + g + 1
         if algorithm == 1:

@@ -30,11 +30,11 @@ from .errors import (
     InstanceTooLargeError,
     ParameterError,
 )
-from .field import Field
 from .mceliece import (
     Ciphertext,
     PublicKey,
     SecretKey,
+    _read_array,
     decrypt,
     derive_seed,
     designed_bounds,
@@ -50,12 +50,14 @@ EXIT_GUARD = 4
 EXIT_STAGE = 5
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, read):
+    """Read a JSON artifact and check it with `read`; any defect is a FormatError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+            data = json.load(fh)
+        return read(data)
+    except (OSError, KeyError, TypeError, ValueError, DimensionError, ParameterError) as exc:
+        raise FormatError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _dump_json(path: str, payload: dict):
@@ -108,63 +110,10 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _check_reps(what: str, a: np.ndarray, q: int):
-    if a.size and (a.min() < 0 or a.max() >= q):
-        raise FormatError(f"{what}: entries outside [0, {q})")
-
-
-def _load_public(path: str) -> PublicKey:
-    d = _load_json(path)
-    try:
-        pk = PublicKey.from_dict(d)
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
-        raise FormatError(f"malformed public key {path}: {exc}") from exc
-    if pk.g_pub.ndim != 2 or pk.g_pub.shape[1] != pk.n:
-        raise FormatError(f"public key {path}: generator shape mismatch")
-    _check_reps(f"public key {path}", pk.g_pub, pk.field.q)
-    return pk
-
-
-def _load_secret(path: str) -> SecretKey:
-    """Load and validate a secret key, and prepare its decoder.
-
-    A scramble of the wrong size or rank shows only against the code, so it
-    is caught while the decoder is built.
-    """
-    d = _load_json(path)
-    try:
-        sk = SecretKey.from_dict(d)
-        field, n = sk.curve.field, sk.curve.n
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
-        raise FormatError(f"malformed secret key {path}: {exc}") from exc
-    if sorted(sk.permutation) != list(range(n)):
-        raise FormatError(f"secret key {path}: permutation is not a bijection of range({n})")
-    _check_reps(f"secret key {path} scramble", sk.scramble, field.q)
-    try:
-        sk.decoder
-    except (DimensionError, ParameterError) as exc:
-        raise FormatError(f"secret key {path}: {exc}") from exc
-    return sk
-
-
-def _load_ciphertext(path: str, field: Field, n: int) -> Ciphertext:
-    d = _load_json(path)
-    try:
-        ct = Ciphertext.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed ciphertext {path}: {exc}") from exc
-    if ct.y.ndim != 1 or ct.y.size != n:
-        raise FormatError(f"ciphertext length {ct.y.size} does not match n = {n}")
-    _check_reps(f"ciphertext {path}", ct.y, field.q)
-    return ct
-
-
 def cmd_encrypt(args) -> int:
-    pk = _load_public(args.pub)
+    pk = _load(args.pub, PublicKey.from_dict)
     if args.msg:
-        msg = np.array(_load_json(args.msg)["msg"], dtype=np.int64)
-        if msg.size != pk.k:
-            raise FormatError(f"message length {msg.size} != k = {pk.k}")
+        msg = _load(args.msg, lambda d: _read_array(d["msg"], "msg", (pk.k,), pk.field.q))
     else:
         rng = random.Random(derive_seed(args.seed, "message"))
         msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
@@ -176,8 +125,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    sk = _load_secret(args.sec)
-    ct = _load_ciphertext(args.ct, sk.curve.field, sk.curve.n)
+    sk = _load(args.sec, SecretKey.from_dict)
+    ct = _load(args.ct, lambda d: Ciphertext.from_dict(d, sk.curve.field, sk.curve.n))
     msg = decrypt(sk, ct)
     _dump_json(args.out, {"msg": [int(v) for v in msg]})
     print(f"wrote {args.out}")
@@ -185,7 +134,7 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    pk = _load_public(args.pub)
+    pk = _load(args.pub, PublicKey.from_dict)
     transcript = attack_pipeline(pk, algorithm=args.algorithm)
     payload = transcript.to_dict()
     _dump_json(args.transcript, payload)
@@ -194,7 +143,7 @@ def cmd_attack(args) -> int:
         f"lambda={transcript.systems_solved}; wrote {args.transcript}"
     )
     if args.ct:
-        ct = _load_ciphertext(args.ct, pk.field, pk.n)
+        ct = _load(args.ct, lambda d: Ciphertext.from_dict(d, pk.field, pk.n))
         msg = attack_decrypt(transcript, pk, ct.y)
         _dump_json(args.out, {"msg": [int(v) for v in msg]})
         print(f"wrote {args.out}")
@@ -244,7 +193,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sk = _load_secret(args.sec)
+    sk = _load(args.sec, SecretKey.from_dict)
     pair = sk.decoder.pair
     g = sk.curve.genus
     if args.exact:

@@ -9,6 +9,7 @@ Schur products, which needs one common ambient length.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from . import matrix as mx
 
 # minimum-distance enumeration refuses beyond q^k of this size
 _ENUM_GUARD = 1 << 24
+# the low-weight search over parity-check columns refuses beyond this many ops
+_WEIGHT_SEARCH_LIMIT = 20_000_000
 
 
 class LinearCode:
@@ -187,7 +190,7 @@ class LinearCode:
                 best = wt
         return best
 
-    def has_word_of_weight_at_most(self, w: int, work_limit: int = 20_000_000) -> bool:
+    def has_word_of_weight_at_most(self, w: int) -> bool:
         """Exact decision: does the code contain a nonzero word of weight <= w?
 
         Checked as a <=w-column dependency of a parity-check matrix, which
@@ -198,18 +201,14 @@ class LinearCode:
         H = self.parity_check()
         if H.shape[0] == 0:
             return True  # full space
-        total = 0
-        for size in range(1, w + 1):
-            import math
-
-            total += math.comb(self.n, size) * size * size
-        if total > work_limit:
+        total = sum(math.comb(self.n, size) * size * size for size in range(1, w + 1))
+        if total > _WEIGHT_SEARCH_LIMIT:
             if self.field.q ** self.k <= _ENUM_GUARD:
                 return any(
                     0 < int(np.count_nonzero(c)) <= w for c in self.codewords()
                 )
             raise InstanceTooLargeError(
-                f"weight-{w} search needs ~{total} ops (limit {work_limit})"
+                f"weight-{w} search needs ~{total} ops (limit {_WEIGHT_SEARCH_LIMIT})"
             )
         for size in range(1, w + 1):
             for cols in itertools.combinations(range(self.n), size):
@@ -236,14 +235,6 @@ class LinearCode:
             "n": self.n,
             "gen": [[int(x) for x in row] for row in self.gen],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearCode":
-        field = Field.from_dict(d["field"])
-        gen = np.array(d["gen"], dtype=np.int64)
-        if gen.size == 0:
-            gen = gen.reshape(0, int(d["n"]))
-        return cls(field, int(d["n"]), gen)
 
 
 def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""One-point AG codes on concrete curves: Hermitian, Suzuki, and a pluggable
-monomial-basis curve.
+"""One-point AG codes on concrete curves: Hermitian and Suzuki.
 
 Riemann-Roch spaces L(m * Pinf) are realized as explicit monomial bases in a
 few generator functions with known pole orders at the point at infinity; no
@@ -203,16 +202,6 @@ class OnePointCurve:
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "field": self.field.to_dict()}
         d.update(self.params)
-        if self.kind == "custom":
-            d.update(
-                {
-                    "genus": self.genus,
-                    "points": self.points.tolist(),
-                    "gen_orders": self.gen_orders,
-                    "gen_values": [v.tolist() for v in self.gen_values],
-                    "exp_bounds": self.exp_bounds,
-                }
-            )
         return d
 
     def __repr__(self):
@@ -351,29 +340,6 @@ class SuzukiCurve(OnePointCurve):
         return [xs, ys, zs, ws]
 
 
-def custom_curve(
-    field: Field,
-    genus: int,
-    points,
-    gen_orders: list[int],
-    gen_values,
-    exp_bounds: list[int | None] | None = None,
-) -> OnePointCurve:
-    """Pluggable curve from explicit generator data (no expansion support)."""
-    if exp_bounds is None:
-        exp_bounds = [None] + [max(gen_orders)] * (len(gen_orders) - 1)
-    return OnePointCurve(
-        kind="custom",
-        field=field,
-        genus=genus,
-        points=np.asarray(points, dtype=np.int64),
-        gen_orders=gen_orders,
-        gen_values=[np.asarray(v, dtype=np.int64) for v in gen_values],
-        exp_bounds=exp_bounds,
-        params={},
-    )
-
-
 def hermitian_curve(r: int) -> HermitianCurve:
     return HermitianCurve(r)
 
@@ -388,15 +354,6 @@ def curve_from_descriptor(d: dict) -> OnePointCurve:
         return hermitian_curve(int(_ints(d["r"], "r")))
     if kind == "suzuki":
         return suzuki_curve(int(_ints(d["q0"], "q0")))
-    if kind == "custom":
-        return custom_curve(
-            Field.from_dict(d["field"]),
-            int(_ints(d["genus"], "genus")),
-            _ints(d["points"], "points"),
-            _ints(d["gen_orders"], "gen_orders").tolist(),
-            [_ints(v, "gen_values") for v in d["gen_values"]],
-            d.get("exp_bounds"),
-        )
     raise ParameterError(f"unknown curve kind {kind!r}")
 
 

@@ -40,19 +40,6 @@ class EcpPair:
         """C's parity-check matrix, computed once per pair."""
         return self.c.parity_check()
 
-    def to_dict(self) -> dict:
-        return {"A": self.a.to_dict(), "B": self.b.to_dict(), "t": self.t,
-                "C": self.c.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EcpPair":
-        return cls(
-            LinearCode.from_dict(d["A"]),
-            LinearCode.from_dict(d["B"]),
-            LinearCode.from_dict(d["C"]),
-            int(d["t"]),
-        )
-
 
 @dataclass
 class EcpReport:

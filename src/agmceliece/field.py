@@ -123,10 +123,14 @@ class Field:
     """
 
     def __init__(self, p: int, k: int = 1, modulus: list[int] | None = None):
-        if not _is_prime(p):
-            raise ParameterError(f"characteristic {p} is not prime")
         if k < 1:
             raise ParameterError("extension degree must be >= 1")
+        # p and k may come from an artifact: bound them before the trial
+        # division and the power, which a huge value would stall
+        if p > MAX_ORDER or k > MAX_ORDER.bit_length():
+            raise ParameterError(f"field order {p}^{k} outside [2, {MAX_ORDER}]")
+        if not _is_prime(p):
+            raise ParameterError(f"characteristic {p} is not prime")
         q = p ** k
         if not 2 <= q <= MAX_ORDER:
             raise ParameterError(f"field order {q} outside [2, {MAX_ORDER}]")

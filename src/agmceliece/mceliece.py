@@ -20,6 +20,7 @@ from .curve import OnePointCurve, ag_code, curve_from_descriptor
 from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
 from .field import Field, _ints
+from .params import scheme_t
 from . import matrix as mx
 
 
@@ -28,12 +29,19 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def scheme_t(m: int, g: int) -> int:
-    """Error budget: t = floor((d* - g - 1) / 2) with d* = m - 2g + 2."""
-    return (m - 3 * g + 1) // 2
+def _read_array(data, what: str, shape: tuple, bound: int) -> np.ndarray:
+    """JSON integers as an int64 array of the given shape (None matches any
+    extent) with every entry in [0, bound); a defect raises ValueError or
+    DimensionError."""
+    a = _ints(data, what)
+    if a.ndim != len(shape) or any(s not in (None, e) for s, e in zip(shape, a.shape)):
+        raise DimensionError(f"{what}: shape {a.shape}, expected {shape}")
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise ValueError(f"{what}: entries outside [0, {bound})")
+    return a
 
 
-@dataclass
+@dataclass(eq=False)
 class PublicKey:
     field: Field
     n: int
@@ -58,11 +66,16 @@ class PublicKey:
     @classmethod
     def from_dict(cls, d: dict) -> "PublicKey":
         field = Field.from_dict(d["field"])
-        return cls(field, int(_ints(d["n"], "n")), int(_ints(d["t"], "t")),
-                   _ints(d["g_pub"], "g_pub"))
+        n = int(_ints(d["n"], "n"))
+        pk = cls(field, n, int(_ints(d["t"], "t")),
+                 _read_array(d["g_pub"], "g_pub", (None, n), field.q))
+        # keygen's budget always lies here: 1 <= t = (m-3g+1)//2 < m-g+1 = n-k
+        if not 1 <= pk.t <= n - pk.k:
+            raise ValueError(f"error budget t = {pk.t} outside [1, n - k = {n - pk.k}]")
+        return pk
 
 
-@dataclass
+@dataclass(eq=False)
 class SecretKey:
     curve_descriptor: dict
     m: int
@@ -71,7 +84,7 @@ class SecretKey:
     seed: int
 
     _curve_cache: OnePointCurve | None = None
-    _decoder_cache: Decoder | None = dc_field(default=None, compare=False, repr=False)
+    _decoder_cache: Decoder | None = dc_field(default=None, repr=False)
 
     @property
     def curve(self) -> OnePointCurve:
@@ -97,16 +110,31 @@ class SecretKey:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecretKey":
-        return cls(
+        """Read and check a secret key, and prepare its decoder.
+
+        A scramble of the wrong size or rank shows only against the code, so
+        it is caught while the decoder is built.
+        """
+        curve = curve_from_descriptor(d["curve"])
+        if d["curve"] != curve.descriptor():
+            raise ValueError("curve descriptor does not match the curve it names")
+        n = curve.n
+        perm = _read_array(d["permutation"], "permutation", (n,), n)
+        if np.unique(perm).size != n:
+            raise ValueError(f"permutation is not a bijection of range({n})")
+        sk = cls(
             d["curve"],
             int(_ints(d["m"], "m")),
-            _ints(d["scramble"], "scramble"),
-            _ints(d["permutation"], "permutation").tolist(),
+            _read_array(d["scramble"], "scramble", (None, None), curve.field.q),
+            perm.tolist(),
             int(_ints(d["seed"], "seed")),
+            _curve_cache=curve,
         )
+        sk.decoder
+        return sk
 
 
-@dataclass
+@dataclass(eq=False)
 class Ciphertext:
     y: np.ndarray
 
@@ -114,8 +142,9 @@ class Ciphertext:
         return {"y": [int(v) for v in self.y]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Ciphertext":
-        return cls(_ints(d["y"], "y"))
+    def from_dict(cls, d: dict, field: Field, n: int) -> "Ciphertext":
+        """Read a ciphertext of length n over `field`."""
+        return cls(_read_array(d["y"], "y", (n,), field.q))
 
 
 def _random_invertible(field: Field, k: int, rng: random.Random) -> np.ndarray:

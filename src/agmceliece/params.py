@@ -18,6 +18,21 @@ _CURVES = {
 }
 
 
+def scheme_t(m: int, g: int) -> int:
+    """Error budget: t = floor((d* - g - 1) / 2) with d* = m - 2g + 2."""
+    return (m - 3 * g + 1) // 2
+
+
+def _systems_solved(t: int, g: int, algorithm: int) -> int:
+    """lambda, the filtration systems solved to reach B_(t+g+1): t+g for
+    Algorithm 1, 2*ceil(log2(t+g)) + 2 for Algorithm 2."""
+    if algorithm == 1:
+        return t + g
+    if algorithm == 2:
+        return 2 * math.ceil(math.log2(t + g)) + 2 if t + g >= 2 else 2
+    raise ParameterError(f"unknown algorithm {algorithm}")
+
+
 def curve_numbers(kind: str, param: int) -> tuple[int, int, int]:
     """(q, g, n) for the named curve family."""
     if kind not in _CURVES:
@@ -52,12 +67,9 @@ def scheme_params(kind: str, param: int, m: int) -> ParamReport:
     q, g, n = curve_numbers(kind, param)
     if not n > m > 3 * g - 1:
         raise ParameterError(f"need n > m > 3g-1 = {3 * g - 1}, got m = {m} (n = {n})")
-    d_star = m - 2 * g + 2
-    t = (d_star - g - 1) // 2
+    t = scheme_t(m, g)
     k_pub = n - m + g - 1
     key_bytes = round(n * k_pub * math.log2(q) / 8)
-    lam1 = t + g
-    lam2 = 2 * math.ceil(math.log2(t + g)) + 2 if t + g >= 2 else 2
     return ParamReport(
         curve=kind,
         param=param,
@@ -66,15 +78,15 @@ def scheme_params(kind: str, param: int, m: int) -> ParamReport:
         n=n,
         m=m,
         k_pub=k_pub,
-        d_star=d_star,
+        d_star=m - 2 * g + 2,
         t=t,
         key_size_bytes=key_bytes,
         key_size_kb=round(key_bytes / 1000),
         isd_bits=isd_workfactor(n, k_pub, t, q),
         attack_bits_alg1=attack_workfactor(n, q, t, g, algorithm=1),
         attack_bits_alg2=attack_workfactor(n, q, t, g, algorithm=2),
-        lambda_alg1=lam1,
-        lambda_alg2=lam2,
+        lambda_alg1=_systems_solved(t, g, 1),
+        lambda_alg2=_systems_solved(t, g, 2),
     )
 
 
@@ -88,12 +100,7 @@ def isd_workfactor(n: int, k: int, t: int, q: int) -> float:
 
 def attack_workfactor(n: int, q: int, t: int, g: int, algorithm: int = 2) -> float:
     """log2 of (lambda + 1) n^4 log2(q)^2 for the chosen filtration driver."""
-    if algorithm == 1:
-        lam = t + g
-    elif algorithm == 2:
-        lam = 2 * math.ceil(math.log2(t + g)) + 2 if t + g >= 2 else 2
-    else:
-        raise ParameterError(f"unknown algorithm {algorithm}")
+    lam = _systems_solved(t, g, algorithm)
     return math.log2(lam + 1) + 4 * math.log2(n) + 2 * math.log2(math.log2(q))
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agmceliece.cli import main
 
@@ -163,12 +167,14 @@ def r3_keys(tmp_path_factory):
     assert run_cli(["encrypt", "--pub", str(pub), "--seed", "1", "--ct", str(ct),
                     "--msg-out", str(d / "msg.json")]) == 0
     return {name: json.loads(path.read_text())
-            for name, path in (("pub", pub), ("sec", sec), ("ct", ct))}
+            for name, path in (("pub", pub), ("sec", sec), ("ct", ct), ("msg", d / "msg.json"))}
 
 
 def _format_error(argv, capsys):
     assert run_cli(argv) == 3
-    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("format error:")
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert line.startswith("format error:")
+    return line
 
 
 def _decrypt_with(tmp_path, r3_keys, capsys, sec=None, ct=None):
@@ -235,6 +241,14 @@ def test_scramble_of_wrong_size_format_error(tmp_path, r3_keys, capsys):
     _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
 
 
+@pytest.mark.parametrize("t", [100, -1, 0])
+def test_public_key_error_budget_out_of_range_format_error(tmp_path, r3_keys, capsys, t):
+    # unchecked, t = 100 > n would fail inside encrypt's sampling and t <= 0 would pass
+    (tmp_path / "pub.json").write_text(json.dumps(dict(r3_keys["pub"], t=t)))
+    _format_error(["encrypt", "--pub", str(tmp_path / "pub.json"), "--seed", "2", "--ct",
+                   str(tmp_path / "ct.json"), "--msg-out", str(tmp_path / "msg.json")], capsys)
+
+
 def test_non_integer_ciphertext_entries_format_error(tmp_path, r3_keys, capsys):
     # 0.5 would truncate to 0 and decrypt to the original message
     _decrypt_with(tmp_path, r3_keys, capsys, ct={"y": [v + 0.5 for v in r3_keys["ct"]["y"]]})
@@ -263,3 +277,108 @@ def test_non_integer_curve_parameter_format_error(tmp_path, r3_keys, capsys):
     sec = dict(r3_keys["sec"])
     sec["curve"] = dict(sec["curve"], r=3.7)
     _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+@pytest.mark.parametrize("entry", [1.7, 10**6, -1], ids=["float", "above_field", "negative"])
+def test_message_entries_format_error(tmp_path, r3_keys, capsys, entry):
+    # unchecked, 1.7 would encrypt as 1, 10^6 would index past the field tables and -1
+    # would wrap to q - 1
+    (tmp_path / "pub.json").write_text(json.dumps(r3_keys["pub"]))
+    (tmp_path / "msg.json").write_text(json.dumps({"msg": [entry] * len(r3_keys["msg"]["msg"])}))
+    _format_error(["encrypt", "--pub", str(tmp_path / "pub.json"), "--msg",
+                   str(tmp_path / "msg.json"), "--seed", "2", "--ct",
+                   str(tmp_path / "ct.json")], capsys)
+
+
+def _custom_curve_sec(r3_keys, herm3):
+    # the Hermitian r=3 curve spelled out as a "custom" descriptor, a kind no reader knows
+    sec = dict(r3_keys["sec"])
+    sec["curve"] = {
+        "kind": "custom", "field": herm3.field.to_dict(), "genus": herm3.genus,
+        "points": herm3.points.tolist(), "gen_orders": list(herm3.gen_orders),
+        "gen_values": [v.tolist() for v in herm3.gen_values], "exp_bounds": [None, 2],
+    }
+    return sec
+
+
+def test_custom_curve_gen_value_outside_field_format_error(tmp_path, r3_keys, herm3, capsys):
+    sec = _custom_curve_sec(r3_keys, herm3)
+    sec["curve"]["gen_values"][0][0] = 10**6
+    (tmp_path / "sec.json").write_text(json.dumps(sec))
+    (tmp_path / "ct.json").write_text(json.dumps(r3_keys["ct"]))
+    line = _format_error(["decrypt", "--sec", str(tmp_path / "sec.json"), "--ct",
+                          str(tmp_path / "ct.json"), "--out", str(tmp_path / "o.json")], capsys)
+    assert "unknown curve kind" in line
+
+
+def test_custom_curve_short_gen_values_row_format_error(tmp_path, r3_keys, herm3, capsys):
+    sec = _custom_curve_sec(r3_keys, herm3)
+    sec["curve"]["gen_values"][1] = sec["curve"]["gen_values"][1][:-1]
+    (tmp_path / "sec.json").write_text(json.dumps(sec))
+    line = _format_error(["verify", "--sec", str(tmp_path / "sec.json")], capsys)
+    assert "unknown curve kind" in line
+
+
+# the array of reps (or indices) in each artifact, and the command that reads it
+_ARRAYS = [("pub", "g_pub"), ("sec", "scramble"), ("sec", "permutation"), ("ct", "y"),
+           ("msg", "msg")]
+
+
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_artifact(draw, artifacts):
+    """(name, artifact) with one entry or one key of one r=3 artifact mutated."""
+    name, key = draw(st.sampled_from(_ARRAYS))
+    art = json.loads(json.dumps(artifacts[name]))
+    kind = draw(st.sampled_from(["float", "negative", "at_least_q", "drop_row",
+                                 "drop_key", "wrong_type"]))
+    if kind in ("drop_key", "wrong_type"):
+        *parents, last = draw(st.sampled_from(list(_key_paths(art))))
+        holder = art
+        for p in parents:
+            holder = holder[p]
+        if kind == "drop_key":
+            del holder[last]
+        else:
+            holder[last] = draw(st.sampled_from(["7", None, {}, True, 3.5, [[0.5]]]))
+        return name, art
+    rows = art[key]
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop_row":
+        del rows[i]
+        return name, art
+    holder, j = (rows[i], draw(st.integers(0, len(rows[i]) - 1))) \
+        if isinstance(rows[i], list) else (rows, i)
+    holder[j] = {
+        "float": holder[j] + 0.5,
+        "negative": draw(st.integers(max_value=-1)),
+        "at_least_q": draw(st.integers(min_value=9)),  # q = 9 for r = 3
+    }[kind]
+    return name, art
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_artifacts_exit_3(r3_keys, data):
+    name, art = data.draw(_mutated_artifact(r3_keys))
+    with tempfile.TemporaryDirectory() as d:
+        files = {n: f"{d}/{n}.json" for n in ("pub", "sec", "ct", "msg")}
+        for n, path in files.items():
+            with open(path, "w") as fh:
+                json.dump(art if n == name else r3_keys[n], fh)
+        if name in ("pub", "msg"):
+            argv = ["encrypt", "--pub", files["pub"], "--msg", files["msg"], "--seed", "2",
+                    "--ct", f"{d}/out.json"]
+        else:
+            argv = ["decrypt", "--sec", files["sec"], "--ct", files["ct"],
+                    "--out", f"{d}/out.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == 3
+        assert err.getvalue().strip().splitlines()[-1].startswith("format error:")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agmceliece import ag_code, hermitian_curve, oracle_filtration, public_code, suzuki_curve
-from agmceliece.curve import custom_curve, curve_from_descriptor
+from agmceliece.curve import OnePointCurve, curve_from_descriptor
 from agmceliece.errors import ParameterError
 
 
@@ -148,30 +148,17 @@ def test_descriptor_round_trip(herm3, suz2):
         assert (rebuilt.points == curve.points).all()
 
 
-def test_custom_curve_matches_hermitian(herm3):
-    # plug the Hermitian generator data in as a custom curve: same codes
-    c = custom_curve(
-        herm3.field,
-        herm3.genus,
-        herm3.points,
-        list(herm3.gen_orders),
-        [v.copy() for v in herm3.gen_values],
-        exp_bounds=[None, 2],
-    )
-    for m in (10, 13):
-        assert ag_code(c, m) == ag_code(herm3, m)
-    with pytest.raises(NotImplementedError):
-        c.generator_series(0, 3)
-
-
 def test_custom_curve_bad_genus_rejected(herm3):
     with pytest.raises(ParameterError):
-        custom_curve(
+        OnePointCurve(
+            "hermitian",
             herm3.field,
             herm3.genus + 1,
             herm3.points,
             list(herm3.gen_orders),
             [v.copy() for v in herm3.gen_values],
+            list(herm3.exp_bounds),
+            {"r": 3},
         )
 
 

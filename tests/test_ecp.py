@@ -163,12 +163,6 @@ def test_decode_rejects_wrong_length(desk3):
         ecp_decode(pair, np.zeros(5, dtype=np.int64))
 
 
-def test_pair_serialization_round_trip(desk3):
-    _, _, pair = desk3
-    again = EcpPair.from_dict(pair.to_dict())
-    assert again.a == pair.a and again.b == pair.b and again.c == pair.c and again.t == pair.t
-
-
 def test_soundness_check_survives_python_O():
     # under -O asserts are stripped; a decoded non-codeword must still raise
     script = textwrap.dedent("""

@@ -151,6 +151,9 @@ def test_modulus_validation():
         Field(2, 2, [0, 0, 1])  # x^2 reducible
     with pytest.raises(ParameterError):
         Field(2, 17)  # beyond 2^16
+    # a huge prime characteristic is refused before the trial division
+    with pytest.raises(ParameterError):
+        Field.from_dict({"p": 2**61 - 1, "k": 1, "modulus": [0, 1]})
 
 
 def test_serialization_round_trip():

@@ -199,9 +199,20 @@ def test_serialization_round_trips(desk3, tmp_path):
     assert sk2.m == sk.m and sk2.permutation == sk.permutation
     assert (sk2.scramble == sk.scramble).all()
     ct = encrypt(pk, np.zeros(pk.k, dtype=np.int64), seed=1)
-    assert (Ciphertext.from_dict(ct.to_dict()).y == ct.y).all()
+    assert (Ciphertext.from_dict(ct.to_dict(), pk.field, pk.n).y == ct.y).all()
     # rebuilt secret key still decrypts
     rng = random.Random(4)
     msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
     ct = encrypt(pk, msg, seed=77)
     assert (decrypt(sk2, ct) == msg).all()
+
+
+def test_artifacts_compare_by_identity(desk3):
+    # the generated __eq__ compared numpy fields and raised on any two keys
+    pk, sk = desk3
+    ct = encrypt(pk, np.zeros(pk.k, dtype=np.int64), seed=1)
+    pairs = [(pk, PublicKey.from_dict(pk.to_dict())),
+             (sk, SecretKey.from_dict(sk.to_dict())),
+             (ct, Ciphertext.from_dict(ct.to_dict(), pk.field, pk.n))]
+    for a, b in pairs:
+        assert a == a and a != b
