@@ -243,11 +243,11 @@ def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.n
     With H a parity check of S this is row(X) ∩ Cond(row(Y), S), where
     Cond(Y, S) = {z : z*Y within S} = (Y*S^perp)^perp is the conductor of Y
     into S.  The unknowns are coefficients over the rows of X, constrained by
-    one block H (X*y)^T per row y of Y.  The rows are independent when X's
-    are, but not canonical: wrap them in LinearCode for a canonical code.
+    one block H (X*y)^T = (H*y) X^T per row y of Y, all built by one product.
+    The rows are independent when X's are, but not canonical: wrap them in
+    LinearCode for a canonical code.
     """
-    blocks = [field.matmul(H, field.mul(X, y[None, :]).T) for y in Y]
-    M = np.vstack(blocks) if blocks else np.zeros((0, X.shape[0]), dtype=np.int64)
+    M = field.matmul(field.mul(Y[:, None, :], H[None, :, :]).reshape(-1, X.shape[1]), X.T)
     coeff = mx.kernel(field, M)
     if coeff.shape[0] == 0:
         return np.zeros((0, X.shape[1]), dtype=np.int64)

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, GF, _ints
+from .field import MAX_ORDER, Field, GF, _ints
 from .code import LinearCode
 from . import matrix as mx
 
@@ -224,7 +224,6 @@ class HermitianCurve(OnePointCurve):
             for b in range(q):
                 if field.add(field.pow(b, r), b) == rhs:
                     pts.append((a, b))
-        pts.sort()
         points = np.array(pts, dtype=np.int64)
         if points.shape[0] != r ** 3:
             raise ParameterError(
@@ -288,9 +287,7 @@ class SuzukiCurve(OnePointCurve):
         if q != 2 * q0 * q0:
             raise AssertionError("field order mismatch")
         # every pair over GF(q) satisfies the equation: x^q = x kills the RHS
-        pts = [(a, b) for a in range(q) for b in range(q)]
-        pts.sort()
-        points = np.array(pts, dtype=np.int64)
+        points = np.array([(a, b) for a in range(q) for b in range(q)], dtype=np.int64)
         X = points[:, 0]
         Y = points[:, 1]
         Z = field.add(field.pow(X, 2 * q0 + 1), field.pow(Y, 2 * q0))
@@ -348,13 +345,23 @@ def suzuki_curve(q0: int) -> SuzukiCurve:
     return SuzukiCurve(q0)
 
 
+# a curve read from an artifact is built only up to this length: every curve
+# the tests and the benchmark build is within it, and a longer one takes minutes
+MAX_ARTIFACT_N = 1024
+
+
 def curve_from_descriptor(d: dict) -> OnePointCurve:
+    """The curve an artifact names, built only once its size is bounded."""
     kind = d["kind"]
-    if kind == "hermitian":
-        return hermitian_curve(int(_ints(d["r"], "r")))
-    if kind == "suzuki":
-        return suzuki_curve(int(_ints(d["q0"], "q0")))
-    raise ParameterError(f"unknown curve kind {kind!r}")
+    if kind not in ("hermitian", "suzuki"):
+        raise ParameterError(f"unknown curve kind {kind!r}")
+    key = "r" if kind == "hermitian" else "q0"
+    param = int(_ints(d[key], key))
+    q, n = (param**2, param**3) if kind == "hermitian" else (2 * param**2, 4 * param**4)
+    if not 2 <= q <= MAX_ORDER or n > MAX_ARTIFACT_N:
+        raise ParameterError(f"{kind} curve {key}={param} has field order {q} and length {n}; "
+                             f"artifacts allow at most {MAX_ORDER} and {MAX_ARTIFACT_N}")
+    return hermitian_curve(param) if kind == "hermitian" else suzuki_curve(param)
 
 
 # -- evaluation codes ---------------------------------------------------------------

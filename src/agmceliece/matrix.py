@@ -29,16 +29,16 @@ def as_rep_array(field: Field, data, cols: int | None = None) -> np.ndarray:
 def rref(field: Field, M: np.ndarray):
     """Return (R, rank, pivot_cols); R is the RREF of M, row space preserved.
 
-    Every 32 pivots, tall inputs drop their all-zero unreduced rows, so the
-    remaining pivot steps touch only live rows.
+    When column c gets its pivot, the pivot row is zero left of c: earlier
+    pivot columns were cleared in it, and skipped columns were zero from the
+    current rank down.  So each step touches only the columns from c on.
     """
     A = np.array(M, dtype=np.int64, copy=True)
-    cols = A.shape[1]
+    rows, cols = A.shape
     pivots: list[int] = []
     r = 0
-    next_compact = 32
     for c in range(cols):
-        if r == A.shape[0]:
+        if r == rows:
             break
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
@@ -48,21 +48,15 @@ def rref(field: Field, M: np.ndarray):
             A[[r, i]] = A[[i, r]]
         pv = int(A[r, c])
         if pv != 1:
-            A[r] = field.mul(A[r], field.inv(pv))
+            A[r, c:] = field.mul(A[r, c:], field.inv(pv))
         col = A[:, c].copy()
         col[r] = 0
         tgt = np.nonzero(col)[0]
         if tgt.size:
-            A[tgt] = field.sub(A[tgt], field.mul(col[tgt, None], A[r][None, :]))
+            A[tgt, c:] = field.sub(A[tgt, c:], field.mul(col[tgt, None], A[r, c:][None, :]))
         pivots.append(c)
         r += 1
-        if r == next_compact:
-            next_compact += 32
-            if A.shape[0] - r > 256:
-                live = np.flatnonzero(A[r:].any(axis=1))
-                if live.size < A.shape[0] - r:
-                    A = np.vstack([A[:r], A[r:][live]])
-    return A[: len(pivots)], len(pivots), pivots
+    return A[:r], r, pivots
 
 
 def kernel(field: Field, M: np.ndarray) -> np.ndarray:
@@ -70,10 +64,9 @@ def kernel(field: Field, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
     R, rank, piv = rref(field, M)
-    free = [c for c in range(cols) if c not in set(piv)]
+    free = sorted(set(range(cols)) - set(piv))
     K = np.zeros((len(free), cols), dtype=np.int64)
-    for j, f in enumerate(free):
-        K[j, f] = 1
+    K[range(len(free)), free] = 1
     if rank and free:
         K[:, piv] = field.neg(R[:rank, free].T)
     return K

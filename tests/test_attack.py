@@ -27,7 +27,12 @@ from agmceliece import (
     scheme_t,
     verify_ecp,
 )
-from agmceliece.attack import choose_p_index, guard_algorithm_1, guard_algorithm_2
+from agmceliece.attack import (
+    choose_p_index,
+    guard_algorithm_1,
+    guard_algorithm_2,
+    sliding_window_subsets,
+)
 from agmceliece.errors import (
     AttackError,
     FiltrationError,
@@ -428,8 +433,6 @@ def test_extended_single_empty_subset_is_direct(herm4):
 
 
 def test_sliding_window_subsets(herm4):
-    from agmceliece.attack import sliding_window_subsets
-
     subs = sliding_window_subsets(herm4.n, 2, 3, p_index=0)
     assert subs == [[1, 2], [3, 4], [5, 6]]
     assert not set(subs[0]) & set(subs[1]) & set(subs[2])
@@ -437,6 +440,20 @@ def test_sliding_window_subsets(herm4):
     assert extended_filtration(C, 0, subs, 12) == oracle_filtration(herm4, 30, 0, 12)
     with pytest.raises(ParameterError):
         sliding_window_subsets(10, 3, 1)
+
+
+@pytest.mark.parametrize("curve, m, count", [("herm3", 14, 3), ("herm4", 32, 2)])
+def test_extended_filtration_where_direct_route_refuses(request, curve, m, count):
+    # 2m >= n, so the direct attack is guarded out; windows of 2m - n + 1
+    # coordinates still reach B_(t+g+1)
+    cur = request.getfixturevalue(curve)
+    g, t = cur.genus, scheme_t(m, cur.genus)
+    with pytest.raises(ParameterError):
+        guard_algorithm_2(cur.n, g, m, t)
+    target = t + g + 1
+    subs = sliding_window_subsets(cur.n, 2 * m - cur.n + 1, count, p_index=0)
+    assert extended_filtration(ag_code(cur, m), 0, subs, target) == \
+        oracle_filtration(cur, m, 0, target)
 
 
 def test_filtration_degenerate_exactly_at_p(herm3):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import tempfile
@@ -172,9 +173,10 @@ def r3_keys(tmp_path_factory):
 
 def _format_error(argv, capsys):
     assert run_cli(argv) == 3
-    line = capsys.readouterr().err.strip().splitlines()[-1]
-    assert line.startswith("format error:")
-    return line
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[-1].startswith("format error:")
+    assert sum(line.startswith("format error:") for line in lines) == 1
+    return lines[-1]
 
 
 def _decrypt_with(tmp_path, r3_keys, capsys, sec=None, ct=None):
@@ -279,6 +281,31 @@ def test_non_integer_curve_parameter_format_error(tmp_path, r3_keys, capsys):
     _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
 
 
+class _Stalled(Exception):
+    """Raised by the alarm; no artifact loader catches it."""
+
+
+def _raise_stalled(signum, frame):
+    raise _Stalled("curve descriptor still being read after 1 s")
+
+
+@pytest.mark.parametrize("curve", [{"kind": "hermitian", "r": 10**18 + 3},
+                                   {"kind": "hermitian", "r": 256},
+                                   {"kind": "suzuki", "q0": 128}],
+                         ids=["r_huge", "r_256", "q0_128"])
+def test_oversized_curve_parameter_format_error(tmp_path, r3_keys, capsys, curve):
+    # unbounded, r = 10^18 + 3 spins in the prime-power test, while r = 256 (GF(2^16),
+    # a 2^32-pair point loop) and q0 = 128 (GF(2^15), 2^30 points) pass the field bound
+    sec = dict(r3_keys["sec"], curve=dict(r3_keys["sec"]["curve"], **curve))
+    previous = signal.signal(signal.SIGALRM, _raise_stalled)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("entry", [1.7, 10**6, -1], ids=["float", "above_field", "negative"])
 def test_message_entries_format_error(tmp_path, r3_keys, capsys, entry):
     # unchecked, 1.7 would encrypt as 1, 10^6 would index past the field tables and -1
@@ -358,7 +385,8 @@ def _mutated_artifact(draw, artifacts):
     holder[j] = {
         "float": holder[j] + 0.5,
         "negative": draw(st.integers(max_value=-1)),
-        "at_least_q": draw(st.integers(min_value=9)),  # q = 9 for r = 3
+        # q = 9 for r = 3; permutation entries reach 26, so skip the entry's own value
+        "at_least_q": draw(st.integers(min_value=9).filter(lambda v: v != holder[j])),
     }[kind]
     return name, art
 

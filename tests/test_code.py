@@ -6,7 +6,7 @@ from agmceliece import GF, Decoder, EcpPair, LinearCode
 from agmceliece.code import conductor
 from agmceliece.errors import DecodeFailureError, DimensionError, InstanceTooLargeError
 
-from conftest import rep_matrices, random_code
+from conftest import rep_matrices, random_code, random_matrix
 
 
 def test_dual_of_full_space_is_zero():
@@ -239,3 +239,15 @@ def test_conductor_matches_its_definition(data):
     assert {tuple(z) for z in LinearCode(F, n, out).codewords()} == expected
     if LinearCode(F, n, X).k == X.shape[0]:
         assert LinearCode(F, n, out).k == out.shape[0]
+
+
+@pytest.mark.parametrize("empty", ["X", "Y", "H"])
+def test_conductor_with_no_rows(empty, rng):
+    # no row in Y or in H means no constraint, so the answer is row(X); no
+    # row in X leaves nothing to constrain
+    F, n = GF(9), 6
+    mats = {name: random_matrix(F, 3, n, rng) for name in "XYH"}
+    mats[empty] = np.zeros((0, n), dtype=np.int64)
+    out = conductor(F, mats["X"], mats["Y"], mats["H"])
+    assert out.shape == (0 if empty == "X" else 3, n)
+    assert LinearCode(F, n, out) == LinearCode(F, n, mats["X"])

@@ -43,7 +43,7 @@ def test_rref_idempotent_and_canonical(rng):
         assert rank3 == rank and (R3 == R).all()
 
 
-def test_fast_rref_cross_check(rng):
+def test_tall_rref_cross_check(rng):
     # a tall matrix of combinations of a few rows must reduce exactly like
     # the rows themselves: same rank, pivots and canonical form
     F = GF(9)
@@ -54,13 +54,52 @@ def test_fast_rref_cross_check(rng):
         R, rank, piv = mx.rref(F, base)
         assert rank_t == rank and piv_t == piv and (Rt == R).all()
     # 290 combinations of 32 rows, then 8 independent rows; after 32 pivots
-    # the combinations are dead, rref drops them and eliminates on
+    # the combinations are zero and the last rows still find their pivots
     base = random_matrix(F, 40, 48, rng)
     R, rank, piv = mx.rref(F, base)
     assert rank >= 33
     tall = np.vstack([F.matmul(random_matrix(F, 290, 32, rng), base[:32]), base[32:]])
     Rt, rank_t, piv_t = mx.rref(F, tall)
     assert rank_t == rank and piv_t == piv and (Rt == R).all()
+
+
+def _gauss_jordan(F, M):
+    """Textbook Gauss-Jordan on Python ints: leftmost pivot, first nonzero
+    row, every other row cleared in the pivot column."""
+    A = [[int(v) for v in row] for row in M]
+    pivots = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = int(F.inv(A[r][c]))
+        A[r] = [int(F.mul(v, inv)) for v in A[r]]
+        for j in range(len(A)):
+            if j != r and A[j][c]:
+                f = A[j][c]
+                A[j] = [int(F.sub(a, F.mul(f, b))) for a, b in zip(A[j], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_matches_plain_gauss_jordan(data):
+    # tall and rank-deficient (P Q through an inner dimension s), with whole
+    # columns zeroed; GF(2^9) has no lookup tables and takes the log route
+    F = data.draw(st.sampled_from([GF(2), GF(7), GF(9), GF(49), GF(2**9)]))
+    c = data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(c, 3 * c + 2))
+    s = data.draw(st.integers(0, c))
+    M = F.matmul(data.draw(rep_matrices(F, r, s)), data.draw(rep_matrices(F, s, c))) \
+        if s else np.zeros((r, c), dtype=np.int64)
+    M[:, data.draw(st.lists(st.integers(0, c - 1), max_size=c))] = 0
+    R, rank, piv = mx.rref(F, M)
+    expected, expected_piv = _gauss_jordan(F, M)
+    assert rank == len(expected) and piv == expected_piv
+    assert R.shape == (rank, c) and R.tolist() == expected
 
 
 def test_kernel_identity_and_zero():
