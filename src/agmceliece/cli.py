@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .attack import attack_decrypt, attack_pipeline
-from .curve import hermitian_curve, suzuki_curve
+from .curve import curve_from_descriptor
 from .ecp import verify_ecp
 from .errors import (
     AgmcError,
@@ -71,20 +71,16 @@ def _echo_config(args: argparse.Namespace):
     print(f"config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
 
 
-def _build_curve(args) -> tuple:
-    if args.curve == "hermitian":
-        if args.r is None:
-            raise ParameterError("--r is required for the Hermitian curve")
-        return hermitian_curve(args.r)
-    if args.curve == "suzuki":
-        if args.q0 is None:
-            raise ParameterError("--q0 is required for the Suzuki curve")
-        return suzuki_curve(args.q0)
-    raise ParameterError(f"unknown curve {args.curve!r}")
-
-
 def _curve_param(args) -> int:
     return args.r if args.curve == "hermitian" else args.q0
+
+
+def _build_curve(args):
+    """The curve the flags name, under the same length bound as an artifact's."""
+    key, param = ("r" if args.curve == "hermitian" else "q0"), _curve_param(args)
+    if param is None:
+        raise ParameterError(f"--{key} is required for the {args.curve} curve")
+    return curve_from_descriptor({"kind": args.curve, key: param})
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .field import MAX_ORDER, Field, GF, _ints
+from .field import Field, GF, _ints, prime_power
 from .code import LinearCode
 from . import matrix as mx
 
@@ -46,17 +46,6 @@ def ser_pow(field: Field, a: np.ndarray, e: int, L: int) -> np.ndarray:
         if e:
             base = ser_mul(field, base, base, L)
     return out
-
-
-def _is_prime_power(r: int):
-    for p in range(2, r + 1):
-        if r % p == 0:
-            k = 0
-            while r > 1 and r % p == 0:
-                r //= p
-                k += 1
-            return (p, k) if r == 1 else None
-    return None
 
 
 def _semigroup_flags(generators: list[int], upto: int) -> np.ndarray:
@@ -212,10 +201,7 @@ class HermitianCurve(OnePointCurve):
     """y^r + y = x^(r+1) over GF(r^2): n = r^3 affine points, g = r(r-1)/2."""
 
     def __init__(self, r: int):
-        pk = _is_prime_power(r)
-        if pk is None or r < 2:
-            raise ParameterError(f"Hermitian parameter r={r} must be a prime power >= 2")
-        p, e = pk
+        p, e = prime_power(r)
         field = GF(p, 2 * e)
         q = field.q
         pts = []
@@ -278,10 +264,9 @@ class SuzukiCurve(OnePointCurve):
     """y^q - y = x^q0 (x^q - x) over GF(q), q = 2 q0^2: n = q^2, g = q0(q-1)."""
 
     def __init__(self, q0: int):
-        pk = _is_prime_power(q0)
-        if pk is None or pk[0] != 2:
+        p, e = prime_power(q0)
+        if p != 2:
             raise ParameterError(f"Suzuki parameter q0={q0} must be a power of 2 >= 2")
-        e = pk[1]
         field = GF(2, 2 * e + 1)
         q = field.q
         if q != 2 * q0 * q0:
@@ -345,22 +330,23 @@ def suzuki_curve(q0: int) -> SuzukiCurve:
     return SuzukiCurve(q0)
 
 
-# a curve read from an artifact is built only up to this length: every curve
-# the tests and the benchmark build is within it, and a longer one takes minutes
+# a curve named by an artifact or on the command line is built only up to this
+# length: every curve the tests and the benchmark build is within it, and a
+# longer one takes minutes
 MAX_ARTIFACT_N = 1024
 
 
 def curve_from_descriptor(d: dict) -> OnePointCurve:
-    """The curve an artifact names, built only once its size is bounded."""
+    """The curve an artifact or the CLI names, built only once its length is bounded."""
     kind = d["kind"]
     if kind not in ("hermitian", "suzuki"):
         raise ParameterError(f"unknown curve kind {kind!r}")
     key = "r" if kind == "hermitian" else "q0"
     param = int(_ints(d[key], key))
-    q, n = (param**2, param**3) if kind == "hermitian" else (2 * param**2, 4 * param**4)
-    if not 2 <= q <= MAX_ORDER or n > MAX_ARTIFACT_N:
-        raise ParameterError(f"{kind} curve {key}={param} has field order {q} and length {n}; "
-                             f"artifacts allow at most {MAX_ORDER} and {MAX_ARTIFACT_N}")
+    n = param**3 if kind == "hermitian" else 4 * param**4
+    if n > MAX_ARTIFACT_N:
+        raise ParameterError(f"{kind} curve {key}={param} has length {n}; "
+                             f"at most {MAX_ARTIFACT_N} is allowed")
     return hermitian_curve(param) if kind == "hermitian" else suzuki_curve(param)
 
 

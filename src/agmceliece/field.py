@@ -8,6 +8,8 @@ ints or numpy arrays of reps, which is what the linear-algebra layer uses.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -31,15 +33,16 @@ def _ints(data, what: str) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with p prime and p^k = q, refused above MAX_ORDER before any division."""
+    if 2 <= q <= MAX_ORDER:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k = 1
+        while p**k < q:
+            k += 1
+        if p**k == q:
+            return p, k
+    raise ParameterError(f"{q} is not a prime power in [2, {MAX_ORDER}]")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -125,11 +128,11 @@ class Field:
     def __init__(self, p: int, k: int = 1, modulus: list[int] | None = None):
         if k < 1:
             raise ParameterError("extension degree must be >= 1")
-        # p and k may come from an artifact: bound them before the trial
-        # division and the power, which a huge value would stall
-        if p > MAX_ORDER or k > MAX_ORDER.bit_length():
+        # k may come from an artifact: bound it before the power, which a huge
+        # value would stall (prime_power bounds p itself)
+        if k > MAX_ORDER.bit_length():
             raise ParameterError(f"field order {p}^{k} outside [2, {MAX_ORDER}]")
-        if not _is_prime(p):
+        if prime_power(p)[1] != 1:
             raise ParameterError(f"characteristic {p} is not prime")
         q = p ** k
         if not 2 <= q <= MAX_ORDER:
@@ -212,7 +215,7 @@ class Field:
         for i in range(q - 1):
             exp[i] = a
             log[a] = i
-            a = (a * gen) % p if k == 1 else self._raw_mul(a, gen)
+            a = self._raw_mul(a, gen)
         if a != 1:
             raise AssertionError("generator order mismatch while building tables")
         self._exp = exp
@@ -227,6 +230,7 @@ class Field:
         for rep in range(q):
             digits[rep] = self._digits_of(rep)
         self._digit_table = digits
+        self._digit_floats = digits.astype(np.float64)
         self._places = np.array([p ** i for i in range(k)], dtype=np.int64)
         self._neg_table = ((p - digits) % p) @ self._places
 
@@ -268,8 +272,6 @@ class Field:
     # -- rep arithmetic (ints or numpy arrays of reps) -------------------------
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
         if self.p == 2:
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
                 return np.bitwise_xor(a, b)
@@ -281,13 +283,9 @@ class Field:
         return ((da + db) % self.p) @ self._places
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
         return self._neg_table[a]
 
     def sub(self, a, b):
-        if self.k == 1:
-            return (a - b) % self.p
         if self.p == 2:
             return self.add(a, b)
         if self._sub_table is not None:
@@ -295,8 +293,6 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a, b]
         return self._exp_ext[self._log[a] + self._log[b]]
@@ -332,13 +328,6 @@ class Field:
             a, e = self.inv(a), -e
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
-    def elements(self):
-        """All q reps in ascending order."""
-        return range(self.q)
-
     def random_rep(self, rng) -> int:
         return rng.randrange(self.q)
 
@@ -348,60 +337,31 @@ class Field:
     # -- exact matrix product over the field -----------------------------------
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """A @ B over GF(q), exact, via digitwise mod-p float BLAS products."""
+        """A @ B over GF(q), exact, as one mod-p float64 BLAS product.
+
+        digits(a * b) = digits(a) @ M(b), where row u of the k x k matrix M(b)
+        holds the digits of x^u * b.  So A @ B is A's (r, inner*k) digit matrix
+        times B's (inner*k, c*k) block matrix of M(B[l, j]), reduced mod p and
+        packed.  The smaller operand is the one expanded into blocks, through
+        A @ B = (B^T @ A^T)^T.
+        """
         A = np.atleast_2d(np.asarray(A, dtype=np.int64))
         B = np.atleast_2d(np.asarray(B, dtype=np.int64))
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"matmul shapes {A.shape} x {B.shape}")
-        p, k = self.p, self.k
-        inner = A.shape[1]
-        if inner == 0:
-            return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        if k == 1:
-            return self._matmul_mod_p(A, B)
-        Ad = self._digit_table[A]  # (r, inner, k)
-        Bd = self._digit_table[B]  # (inner, c, k)
-        conv = [None] * (2 * k - 1)
-        for u in range(k):
-            for v in range(k):
-                prod = self._matmul_mod_p(Ad[:, :, u], Bd[:, :, v])
-                w = u + v
-                conv[w] = prod if conv[w] is None else (conv[w] + prod) % p
-        # reduce powers x^e for e >= k via precomputed residues
-        red = self._reduction_rows()
-        out_digits = np.zeros(conv[0].shape + (k,), dtype=np.int64)
-        for e, ce in enumerate(conv):
-            out_digits += ce[:, :, None] * red[e][None, None, :]
-        return (out_digits % p) @ self._places
-
-    def _matmul_mod_p(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        p = self.p
-        # float64 BLAS is exact while inner * (p-1)^2 < 2^53
-        if A.shape[1] * (p - 1) ** 2 < (1 << 52):
-            C = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
-            return np.rint(C).astype(np.int64) % p
-        return (A @ B) % p
-
-    def _reduction_rows(self) -> np.ndarray:
-        """x^e mod modulus as digit rows, e = 0 .. 2k-2."""
-        cached = getattr(self, "_red_rows", None)
-        if cached is not None:
-            return cached
-        p, k = self.p, self.k
-        rows = np.zeros((2 * k - 1, k), dtype=np.int64)
-        cur = [0] * k
-        cur[0] = 1
-        rows[0] = cur
-        for e in range(1, 2 * k - 1):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(k):
-                    nxt[i] = (nxt[i] - lead * self.modulus[i]) % p
-            cur = [c % p for c in nxt]
-            rows[e] = cur
-        self._red_rows = rows
-        return rows
+        if A.size < B.size:
+            return self.matmul(B.T, A.T).T
+        (r, inner), c, k, p = A.shape, B.shape[1], self.k, self.p
+        left = self._digit_floats[A].reshape(r, inner * k)
+        # x^u has rep p^u, so row (l, u) of the block matrix is digits(x^u * B[l])
+        right = self._digit_floats[self.mul(B[:, None, :], self._places[:, None])]
+        right = right.reshape(inner * k, c * k)
+        # float64 BLAS is exact while every sum of inner*k terms stays below 2^53
+        if inner * k * (p - 1) ** 2 < (1 << 52):
+            prod = (left @ right).astype(np.int64)
+        else:
+            prod = left.astype(np.int64) @ right.astype(np.int64)
+        return (prod.reshape(r, c, k) % p) @ self._places
 
 
 def _canonical_modulus(p: int, k: int) -> list[int]:
@@ -426,23 +386,7 @@ _FIELD_CACHE: dict = {}
 
 def GF(q_or_p: int, k: int | None = None) -> Field:
     """Cached field constructor: GF(9), GF(3, 2) and GF(2**5) all work."""
-    if k is not None:
-        p, kk = q_or_p, k
-    else:
-        q = q_or_p
-        p = None
-        for cand in range(2, q + 1):
-            if _is_prime(cand) and q % cand == 0:
-                p = cand
-                break
-        if p is None:
-            raise ParameterError(f"{q} is not a prime power")
-        kk = 0
-        while q > 1:
-            if q % p:
-                raise ParameterError(f"{q_or_p} is not a prime power")
-            q //= p
-            kk += 1
+    p, kk = (q_or_p, k) if k is not None else prime_power(q_or_p)
     key = (p, kk)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, kk)

@@ -286,7 +286,18 @@ class _Stalled(Exception):
 
 
 def _raise_stalled(signum, frame):
-    raise _Stalled("curve descriptor still being read after 1 s")
+    raise _Stalled("curve still being built after 1 s")
+
+
+@contextlib.contextmanager
+def _within_one_second():
+    previous = signal.signal(signal.SIGALRM, _raise_stalled)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("curve", [{"kind": "hermitian", "r": 10**18 + 3},
@@ -297,13 +308,22 @@ def test_oversized_curve_parameter_format_error(tmp_path, r3_keys, capsys, curve
     # unbounded, r = 10^18 + 3 spins in the prime-power test, while r = 256 (GF(2^16),
     # a 2^32-pair point loop) and q0 = 128 (GF(2^15), 2^30 points) pass the field bound
     sec = dict(r3_keys["sec"], curve=dict(r3_keys["sec"]["curve"], **curve))
-    previous = signal.signal(signal.SIGALRM, _raise_stalled)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with _within_one_second():
         _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", ["keygen", "bench"])
+@pytest.mark.parametrize("r", [10**18 + 3, 11], ids=["r_huge", "r_11"])
+def test_oversized_curve_flag_guard(tmp_path, capsys, command, r):
+    # the flags get the artifact bound: unbounded, r = 10^18 + 3 spins in the
+    # prime-power test and r = 11 writes an n = 1331 key that decrypt refuses
+    argv = [command, "--curve", "hermitian", "--r", str(r), "--m", "200", "--seed", "1"]
+    argv += (["--pub", str(tmp_path / "pub.json"), "--sec", str(tmp_path / "sec.json")]
+             if command == "keygen" else ["--csv", str(tmp_path / "bench.csv")])
+    with _within_one_second():
+        assert run_cli(argv) == 4
+    assert "parameter guard:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("entry", [1.7, 10**6, -1], ids=["float", "above_field", "negative"])

@@ -34,6 +34,9 @@ def test_hermitian_invalid_r():
         hermitian_curve(6)  # not a prime power
     with pytest.raises(ParameterError):
         hermitian_curve(1)
+    # refused before any trial division, which would spin on this value
+    with pytest.raises(ParameterError):
+        hermitian_curve(10**18 + 3)
 
 
 def test_suzuki_instances(suz2):
