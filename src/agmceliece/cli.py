@@ -41,7 +41,7 @@ from .mceliece import (
     encrypt,
     keygen,
 )
-from .params import scheme_params
+from .params import curve_key, scheme_params
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,12 +72,12 @@ def _echo_config(args: argparse.Namespace):
 
 
 def _curve_param(args) -> int:
-    return args.r if args.curve == "hermitian" else args.q0
+    return getattr(args, curve_key(args.curve))
 
 
 def _build_curve(args):
     """The curve the flags name, under the same length bound as an artifact's."""
-    key, param = ("r" if args.curve == "hermitian" else "q0"), _curve_param(args)
+    key, param = curve_key(args.curve), _curve_param(args)
     if param is None:
         raise ParameterError(f"--{key} is required for the {args.curve} curve")
     return curve_from_descriptor({"kind": args.curve, key: param})

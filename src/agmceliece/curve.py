@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .field import Field, GF, _ints, prime_power
 from .code import LinearCode
+from .params import curve_key, curve_numbers
 from . import matrix as mx
 
 
@@ -203,24 +204,20 @@ class HermitianCurve(OnePointCurve):
     def __init__(self, r: int):
         p, e = prime_power(r)
         field = GF(p, 2 * e)
-        q = field.q
-        pts = []
-        for a in range(q):
-            rhs = field.pow(a, r + 1)
-            for b in range(q):
-                if field.add(field.pow(b, r), b) == rhs:
-                    pts.append((a, b))
-        points = np.array(pts, dtype=np.int64)
-        if points.shape[0] != r ** 3:
-            raise ParameterError(
-                f"Hermitian r={r}: found {points.shape[0]} points, expected {r ** 3}"
-            )
+        _, genus, n = curve_numbers("hermitian", r)
+        # row a, column b: b^r + b == a^(r+1); argwhere lists them a-major
+        a = np.arange(field.q)
+        points = np.argwhere(
+            field.add(field.pow(a, r)[None, :], a[None, :]) == field.pow(a, r + 1)[:, None]
+        )
+        if points.shape[0] != n:
+            raise ParameterError(f"Hermitian r={r}: found {points.shape[0]} points, expected {n}")
         X = points[:, 0]
         Y = points[:, 1]
         super().__init__(
             kind="hermitian",
             field=field,
-            genus=r * (r - 1) // 2,
+            genus=genus,
             points=points,
             gen_orders=[r, r + 1],
             gen_values=[X, Y],
@@ -268,8 +265,8 @@ class SuzukiCurve(OnePointCurve):
         if p != 2:
             raise ParameterError(f"Suzuki parameter q0={q0} must be a power of 2 >= 2")
         field = GF(2, 2 * e + 1)
-        q = field.q
-        if q != 2 * q0 * q0:
+        q, genus, _ = curve_numbers("suzuki", q0)
+        if q != field.q:
             raise AssertionError("field order mismatch")
         # every pair over GF(q) satisfies the equation: x^q = x kills the RHS
         points = np.array([(a, b) for a in range(q) for b in range(q)], dtype=np.int64)
@@ -280,7 +277,7 @@ class SuzukiCurve(OnePointCurve):
         super().__init__(
             kind="suzuki",
             field=field,
-            genus=q0 * (q - 1),
+            genus=genus,
             points=points,
             gen_orders=[q, q + q0, q + 2 * q0, q + 2 * q0 + 1],
             gen_values=[X, Y, Z, W],
@@ -339,11 +336,9 @@ MAX_ARTIFACT_N = 1024
 def curve_from_descriptor(d: dict) -> OnePointCurve:
     """The curve an artifact or the CLI names, built only once its length is bounded."""
     kind = d["kind"]
-    if kind not in ("hermitian", "suzuki"):
-        raise ParameterError(f"unknown curve kind {kind!r}")
-    key = "r" if kind == "hermitian" else "q0"
+    key = curve_key(kind)
     param = int(_ints(d[key], key))
-    n = param**3 if kind == "hermitian" else 4 * param**4
+    n = curve_numbers(kind, param)[2]
     if n > MAX_ARTIFACT_N:
         raise ParameterError(f"{kind} curve {key}={param} has length {n}; "
                              f"at most {MAX_ARTIFACT_N} is allowed")

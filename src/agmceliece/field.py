@@ -1,9 +1,11 @@
 """Exact arithmetic in GF(p^k) for prime powers q = p^k <= 2^16.
 
 Elements are represented by integer "reps" in [0, q): the base-p digit
-vector of the polynomial residue, packed low-to-high.  A `Field` carries
-the modulus and eagerly built exp/log tables; all operations accept plain
-ints or numpy arrays of reps, which is what the linear-algebra layer uses.
+vector of the polynomial residue, packed low-to-high.  There is one field
+per (p, k), on its canonical modulus: it is the only modulus built, written
+or read.  A `Field` carries that modulus and eagerly built exp/log tables;
+all operations accept plain ints or numpy arrays of reps, which is what the
+linear-algebra layer uses.
 """
 
 from __future__ import annotations
@@ -45,87 +47,19 @@ def prime_power(q: int) -> tuple[int, int]:
     raise ParameterError(f"{q} is not a prime power in [2, {MAX_ORDER}]")
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- polynomial helpers over GF(p), coefficients low-to-high ------------------
-
-def _poly_mod(p: int, f: list[int], g: list[int]) -> list[int]:
-    """f mod g over GF(p); g need not be monic (leading coeff inverted)."""
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        coef = f[-1] * inv_lead % p
-        shift = len(f) - 1 - dg
-        for i, gi in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * gi) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return f
-
-
-def _monic_polys(p: int, deg: int):
-    """All monic polynomials of the given degree over GF(p)."""
-    for packed in range(p ** deg):
-        coeffs = []
-        v = packed
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def is_irreducible(p: int, coeffs: list[int]) -> bool:
-    """Brute-force irreducibility test (trial division), fine at q <= 2^16."""
-    k = len(coeffs) - 1
-    if k < 1 or coeffs[-1] % p == 0:
-        return False
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_mod(p, coeffs, g):
-                return False
-    return True
-
-
-def _smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise AssertionError("no primitive root found")
-
-
 class Field:
-    """GF(p^k) together with its modulus and precomputed tables.
+    """GF(p^k) with its canonical modulus and precomputed tables.
 
-    Immutable after construction; safe to share.  The canonical modulus for
-    (p, k) is the first monic irreducible AND primitive polynomial in the
-    packed-integer order, so `x` itself generates the multiplicative group
-    (for k = 1 the modulus is x - g with g the smallest primitive root).
+    Immutable after construction; safe to share.  Every (p, k) has exactly one
+    field here, built on its canonical modulus f: for k >= 2 the first monic f
+    in packed-integer order in which x has order q - 1, and for k = 1 the first
+    x - g in g = 1, 2, ... with that property, so g is the smallest primitive
+    root.  A monic f with f(0) != 0 in which x has order q - 1 is irreducible
+    and primitive (Lidl-Niederreiter, ch. 3), so the walk 1, x, x^2, ... mod f
+    that finds the modulus is also the exp table.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: list[int] | None = None):
+    def __init__(self, p: int, k: int = 1):
         if k < 1:
             raise ParameterError("extension degree must be >= 1")
         # k may come from an artifact: bound it before the power, which a huge
@@ -140,102 +74,14 @@ class Field:
         self.p = p
         self.k = k
         self.q = q
-        if modulus is None:
-            modulus = _canonical_modulus(p, k)
-        else:
-            modulus = [c % p for c in modulus]
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ParameterError("modulus must be monic of degree k")
-            if not is_irreducible(p, modulus):
-                raise ParameterError("modulus is not irreducible over GF(p)")
-        self.modulus = tuple(modulus)
-        self._build_tables()
-
-    # -- construction ---------------------------------------------------------
-
-    def _digits_of(self, rep: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(rep % self.p)
-            rep //= self.p
-        return out
-
-    def _pack(self, digits) -> int:
-        rep = 0
-        for d in reversed(digits):
-            rep = rep * self.p + int(d) % self.p
-        return rep
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product, used only while building tables."""
-        p, k = self.p, self.k
-        da, db = self._digits_of(a), self._digits_of(b)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce degree >= k using x^k = -(modulus tail)
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = conv[deg]
-            if c:
-                conv[deg] = 0
-                for i in range(k):
-                    conv[deg - k + i] = (conv[deg - k + i] - c * self.modulus[i]) % p
-        return self._pack(conv[:k])
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        """Table-free a^e by square-and-multiply, used only before tables exist."""
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._raw_mul(acc, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return acc
-
-    def _element_order(self, a: int) -> int:
-        order = self.q - 1
-        for f in _prime_factors(self.q - 1):
-            while order % f == 0 and self._raw_pow(a, order // f) == 1:
-                order //= f
-        return order
-
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        # generator: x when primitive, else smallest-rep generator
-        gen = p if k > 1 else _smallest_primitive_root(p)
-        if k > 1 and self._element_order(gen) != q - 1:
-            gen = next(a for a in range(2, q) if self._element_order(a) == q - 1)
-        self.generator = gen
-
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, 2 * q + 1, dtype=np.int64)  # sentinel for log(0)
-        a = 1
-        for i in range(q - 1):
-            exp[i] = a
-            log[a] = i
-            a = self._raw_mul(a, gen)
-        if a != 1:
-            raise AssertionError("generator order mismatch while building tables")
-        self._exp = exp
-        self._log = log
-        # extended exp: legit log-sums reach 2(q-2); sentinel sums land past 2q
-        ext = np.zeros(4 * q + 4, dtype=np.int64)
-        idx = np.arange(2 * q - 3 if q > 2 else 1)
-        ext[: idx.size] = exp[idx % (q - 1)]
-        self._exp_ext = ext
-
-        digits = np.zeros((q, k), dtype=np.int64)
-        for rep in range(q):
-            digits[rep] = self._digits_of(rep)
+        self._places = np.array([p ** i for i in range(k)], dtype=np.int64)
+        reps = np.arange(q, dtype=np.int64)
+        digits = reps[:, None] // self._places % p
         self._digit_table = digits
         self._digit_floats = digits.astype(np.float64)
-        self._places = np.array([p ** i for i in range(k)], dtype=np.int64)
         self._neg_table = ((p - digits) % p) @ self._places
-
+        self._build_exp(digits)
         if q <= _FULL_TABLE_LIMIT:
-            reps = np.arange(q, dtype=np.int64)
             self._add_table = ((digits[:, None, :] + digits[None, :, :]) % p) @ self._places
             self._sub_table = self._add_table[:, self._neg_table]
             mul = np.zeros((q, q), dtype=np.int64)
@@ -247,16 +93,44 @@ class Field:
             self._sub_table = None
             self._mul_table = None
 
+    def _build_exp(self, digits: np.ndarray):
+        """The canonical modulus and the exp/log tables, from one walk of x."""
+        p, k, q = self.p, self.k, self.q
+        # v = low + top * x^(k-1) and f = x^k + tail, so v * x = low * x - top * tail
+        top, low = np.divmod(np.arange(q, dtype=np.int64), p ** (k - 1))
+        shifted = digits[low * p]
+        for tail in range(q - 1, 0, -1) if k == 1 else range(q):
+            if tail % p == 0:
+                continue  # f(0) = 0: x is no unit
+            times_x = (((shifted - top[:, None] * digits[tail]) % p) @ self._places).tolist()
+            walk, v = [1], times_x[1]
+            while v != 1 and len(walk) < q - 1:
+                walk.append(v)
+                v = times_x[v]
+            # x has order q - 1 exactly when its walk first returns to 1 at step q - 1
+            if v == 1 and len(walk) == q - 1:
+                break
+        else:
+            raise AssertionError(f"no primitive polynomial found for GF({p}^{k})")
+        self.modulus = tuple(int(c) for c in digits[tail]) + (1,)
+        exp = np.array(walk, dtype=np.int64)
+        log = np.full(q, 2 * q + 1, dtype=np.int64)  # sentinel for log(0)
+        log[exp] = np.arange(q - 1)
+        self._exp = exp
+        self._log = log
+        # extended exp: legit log-sums reach 2(q-2); sentinel sums land past 2q
+        ext = np.zeros(4 * q + 4, dtype=np.int64)
+        idx = np.arange(2 * q - 3 if q > 2 else 1)
+        ext[: idx.size] = exp[idx % (q - 1)]
+        self._exp_ext = ext
+
     # -- identity / serialization --------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
+        return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __repr__(self):
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k})"
@@ -264,10 +138,13 @@ class Field:
     def to_dict(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Field":
-        return cls(int(_ints(d["p"], "p")), int(_ints(d["k"], "k")),
-                   _ints(d["modulus"], "modulus").tolist())
+    @staticmethod
+    def from_dict(d: dict) -> "Field":
+        """The cached GF(p^k) the artifact names; any modulus but its canonical one is refused."""
+        field = GF(int(_ints(d["p"], "p")), int(_ints(d["k"], "k")))
+        if _ints(d["modulus"], "modulus").tolist() != list(field.modulus):
+            raise ParameterError(f"modulus is not the canonical modulus of {field!r}")
+        return field
 
     # -- rep arithmetic (ints or numpy arrays of reps) -------------------------
 
@@ -362,23 +239,6 @@ class Field:
         else:
             prod = left.astype(np.int64) @ right.astype(np.int64)
         return (prod.reshape(r, c, k) % p) @ self._places
-
-
-def _canonical_modulus(p: int, k: int) -> list[int]:
-    if k == 1:
-        return [(-_smallest_primitive_root(p)) % p, 1]
-    q = p ** k
-    factors = _prime_factors(q - 1)
-    for coeffs in _monic_polys(p, k):
-        if coeffs[0] == 0 or not is_irreducible(p, coeffs):
-            continue
-        # primitivity of x: its order must be q - 1
-        probe = Field.__new__(Field)
-        probe.p, probe.k, probe.q = p, k, q
-        probe.modulus = tuple(coeffs)
-        if all(probe._raw_pow(p, (q - 1) // f) != 1 for f in factors):
-            return coeffs
-    raise AssertionError(f"no primitive polynomial found for GF({p}^{k})")
 
 
 _FIELD_CACHE: dict = {}

@@ -20,7 +20,7 @@ from .curve import OnePointCurve, ag_code, curve_from_descriptor
 from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
 from .field import Field, _ints
-from .params import scheme_t
+from .params import check_degree, scheme_t
 from . import matrix as mx
 
 
@@ -119,12 +119,15 @@ class SecretKey:
         if d["curve"] != curve.descriptor():
             raise ValueError("curve descriptor does not match the curve it names")
         n = curve.n
+        # the decoder enumerates about m / r monomials: an unbounded m stalls it
+        m = int(_ints(d["m"], "m"))
+        check_degree(m, curve.genus, n)
         perm = _read_array(d["permutation"], "permutation", (n,), n)
         if np.unique(perm).size != n:
             raise ValueError(f"permutation is not a bijection of range({n})")
         sk = cls(
             d["curve"],
-            int(_ints(d["m"], "m")),
+            m,
             _read_array(d["scramble"], "scramble", (None, None), curve.field.q),
             perm.tolist(),
             int(_ints(d["seed"], "seed")),
@@ -167,8 +170,7 @@ def keygen(
 ) -> tuple[PublicKey, SecretKey]:
     """Generate a key pair; the caller picks m, keygen enforces scheme validity."""
     g, n = curve.genus, curve.n
-    if not n > m > 3 * g - 1:
-        raise ParameterError(f"need n > m > 3g-1, got n={n}, m={m}, g={g}")
+    check_degree(m, g, n)
     t = scheme_t(m, g)
     if t < 1:
         raise ParameterError(f"m={m} gives error budget t={t}; scheme needs t >= 1")

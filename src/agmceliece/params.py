@@ -12,9 +12,10 @@ from dataclasses import dataclass, asdict
 
 from .errors import ParameterError
 
+# each family: the descriptor key of its parameter, and (q, g, n) from that parameter
 _CURVES = {
-    "hermitian": lambda r: (r * r, r * (r - 1) // 2, r ** 3),
-    "suzuki": lambda q0: (2 * q0 * q0, q0 * (2 * q0 * q0 - 1), (2 * q0 * q0) ** 2),
+    "hermitian": ("r", lambda r: (r * r, r * (r - 1) // 2, r ** 3)),
+    "suzuki": ("q0", lambda q0: (2 * q0 * q0, q0 * (2 * q0 * q0 - 1), (2 * q0 * q0) ** 2)),
 }
 
 
@@ -33,11 +34,23 @@ def _systems_solved(t: int, g: int, algorithm: int) -> int:
     raise ParameterError(f"unknown algorithm {algorithm}")
 
 
-def curve_numbers(kind: str, param: int) -> tuple[int, int, int]:
-    """(q, g, n) for the named curve family."""
+def curve_key(kind: str) -> str:
+    """The descriptor key ("r" or "q0") naming the family's parameter."""
     if kind not in _CURVES:
         raise ParameterError(f"unknown curve kind {kind!r}")
-    return _CURVES[kind](param)
+    return _CURVES[kind][0]
+
+
+def curve_numbers(kind: str, param: int) -> tuple[int, int, int]:
+    """(q, g, n) for the named curve family."""
+    curve_key(kind)  # refuses an unknown kind
+    return _CURVES[kind][1](param)
+
+
+def check_degree(m: int, g: int, n: int):
+    """The scheme's range for the divisor degree: 3g - 1 < m < n."""
+    if not n > m > 3 * g - 1:
+        raise ParameterError(f"need n > m > 3g-1 = {3 * g - 1}, got m = {m} (n = {n})")
 
 
 @dataclass
@@ -65,8 +78,7 @@ class ParamReport:
 
 def scheme_params(kind: str, param: int, m: int) -> ParamReport:
     q, g, n = curve_numbers(kind, param)
-    if not n > m > 3 * g - 1:
-        raise ParameterError(f"need n > m > 3g-1 = {3 * g - 1}, got m = {m} (n = {n})")
+    check_degree(m, g, n)
     t = scheme_t(m, g)
     k_pub = n - m + g - 1
     key_bytes = round(n * k_pub * math.log2(q) / 8)

@@ -257,11 +257,13 @@ def test_non_integer_ciphertext_entries_format_error(tmp_path, r3_keys, capsys):
 
 
 def test_reducible_field_modulus_format_error(tmp_path, r3_keys, capsys):
-    pub = dict(r3_keys["pub"])
-    pub["field"] = dict(pub["field"], modulus=[0, 0, 1])
-    (tmp_path / "pub.json").write_text(json.dumps(pub))
-    _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
-                   str(tmp_path / "t.json")], capsys)
+    # x^2 is reducible; x^2 + 1 is irreducible over GF(3) but not GF(9)'s canonical modulus
+    for modulus in ([0, 0, 1], [1, 0, 1]):
+        pub = dict(r3_keys["pub"])
+        pub["field"] = dict(pub["field"], modulus=modulus)
+        (tmp_path / "pub.json").write_text(json.dumps(pub))
+        _format_error(["attack", "--pub", str(tmp_path / "pub.json"), "--transcript",
+                       str(tmp_path / "t.json")], capsys)
 
 
 def test_non_integer_field_modulus_format_error(tmp_path, r3_keys, capsys):
@@ -310,6 +312,14 @@ def test_oversized_curve_parameter_format_error(tmp_path, r3_keys, capsys, curve
     sec = dict(r3_keys["sec"], curve=dict(r3_keys["sec"]["curve"], **curve))
     with _within_one_second():
         _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+@pytest.mark.parametrize("m", [10**12, 2 * 10**7], ids=["m_1e12", "m_2e7"])
+def test_oversized_degree_format_error(tmp_path, r3_keys, capsys, m):
+    # unbounded, the decoder enumerates about m / r monomials: 10^12 ends in a
+    # MemoryError and 2 * 10^7 runs for minutes
+    with _within_one_second():
+        _decrypt_with(tmp_path, r3_keys, capsys, sec=dict(r3_keys["sec"], m=m))
 
 
 @pytest.mark.parametrize("command", ["keygen", "bench"])

@@ -1,4 +1,5 @@
 
+import itertools
 import random
 
 import numpy as np
@@ -23,11 +24,12 @@ def test_gf4_modulus_forces_square():
     assert F.inv(w) == 3  # w * (w+1) = 1
 
 
-def test_gf9_explicit_modulus_x2_plus_1():
-    F = Field(3, 2, [1, 0, 1])
+def test_gf9_canonical_modulus():
+    F = GF(9)
+    assert F.modulus == (2, 1, 1)  # x^2 + x + 2
     x = 3  # rep of x: digits (0, 1)
     assert F.add(x, x) == 6  # coefficientwise mod 3
-    assert F.mul(x, x) == 2  # x^2 = -1 = 2
+    assert F.mul(x, x) == 7  # x^2 = -x - 2 = 2x + 1, digits (1, 2)
 
 
 def test_identities_random(rng):
@@ -59,8 +61,7 @@ def test_pow_basics():
         assert F.pow(a, 0) == 1
     for a in range(1, 8):
         assert F.pow(a, 7) == 1
-    F9 = Field(3, 2, [1, 0, 1])
-    assert F9.pow(3, 2) == 2
+    assert GF(9).pow(3, 2) == 7
     with pytest.raises(ZeroDivisionError):
         F.pow(0, -1)
 
@@ -142,12 +143,32 @@ def test_modulus_validation():
     with pytest.raises(ParameterError):
         Field(4, 1)  # not prime
     with pytest.raises(ParameterError):
-        Field(2, 2, [0, 0, 1])  # x^2 reducible
+        Field.from_dict({"p": 2, "k": 2, "modulus": [0, 0, 1]})  # x^2 reducible
     with pytest.raises(ParameterError):
         Field(2, 17)  # beyond 2^16
     # a huge prime characteristic is refused before the trial division
     with pytest.raises(ParameterError):
         Field.from_dict({"p": 2**61 - 1, "k": 1, "modulus": [0, 1]})
+
+
+# the canonical modulus of every field a curve can build (Hermitian r <= 9, Suzuki q0 <= 4)
+_CANONICAL_MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (2, 1, 1), 16: (1, 1, 0, 0, 1), 25: (2, 1, 1),
+    32: (1, 0, 1, 0, 0, 1), 49: (3, 1, 1), 64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_CANONICAL_MODULI))
+def test_canonical_modulus_is_the_only_one_read(q):
+    F = GF(q)
+    assert F.modulus == _CANONICAL_MODULI[q]
+    assert Field.from_dict(F.to_dict()) is F
+    if q > 9:
+        return  # every other monic modulus is tried on GF(4), GF(8) and GF(9) only
+    for tail in itertools.product(range(F.p), repeat=F.k):
+        if tail + (1,) != F.modulus:
+            with pytest.raises(ParameterError):
+                Field.from_dict({"p": F.p, "k": F.k, "modulus": [*tail, 1]})
 
 
 def test_serialization_round_trip():
