@@ -9,7 +9,6 @@ from .curve import (
     curve_from_descriptor,
     hermitian_curve,
     oracle_filtration,
-    public_code,
     suzuki_curve,
 )
 from .ecp import Decoder, EcpPair, EcpReport, ecp_decode, verify_ecp
@@ -43,7 +42,7 @@ from . import errors
 __all__ = [
     "Field", "GF", "LinearCode",
     "OnePointCurve", "hermitian_curve", "suzuki_curve",
-    "curve_from_descriptor", "ag_code", "public_code", "oracle_filtration",
+    "curve_from_descriptor", "ag_code", "oracle_filtration",
     "Decoder", "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",
     "PublicKey", "SecretKey", "Ciphertext", "keygen", "encrypt", "decrypt",
     "legitimate_pair", "designed_bounds", "scheme_t",

@@ -70,40 +70,28 @@ def init_filtration(C: LinearCode, p_index: int) -> tuple[LinearCode, LinearCode
     return C, B1
 
 
-def _solution_space(
-    candidate: LinearCode, partner: LinearCode, product_space: LinearCode
-) -> LinearCode:
-    """candidate ∩ Cond(partner, product_space): the z in candidate with
-    z * partner contained in product_space, canonical."""
-    if product_space.k >= candidate.n:
-        raise FiltrationError(
-            "product space saturates the ambient space; constraints are vacuous "
-            "(parameters outside the guaranteed regime)"
-        )
-    F = candidate.field
-    rows = conductor(F, candidate.gen, partner.gen, product_space.parity_check())
-    return LinearCode(F, candidate.n, rows)
-
-
 def filtration_step(B_s: LinearCode, B_sm1: LinearCode) -> LinearCode:
-    """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2))."""
-    out = _solution_space(B_s, B_sm1, B_s.schur_square())
-    if out.k != B_s.k - 1:
-        raise FiltrationError(
-            f"filtration step: dimension {B_s.k} -> {out.k}, expected drop of exactly 1"
-        )
-    return out
+    """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)): the doubling step with
+    B_hi = B_lo = B_s, whose product is the Schur square."""
+    return filtration_step_doubling(B_s, B_s, B_sm1, B_s.k - 1)
 
 
 def filtration_step_doubling(
     B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode, expected_dim: int
 ) -> LinearCode:
     """B_s = B_hi ∩ Cond(B_0, B_lo * B_hi), from B_hi = B_floor((s+1)/2) and
-    B_lo = B_floor(s/2)."""
-    out = _solution_space(B_hi, B_0, B_lo.schur_product(B_hi))
+    B_lo = B_floor(s/2): the z in B_hi with z * B_0 inside B_lo * B_hi."""
+    product = B_lo.schur_product(B_hi)
+    if product.k >= B_hi.n:
+        raise FiltrationError(
+            "product space saturates the ambient space; constraints are vacuous "
+            "(parameters outside the guaranteed regime)"
+        )
+    F = B_hi.field
+    out = LinearCode(F, B_hi.n, conductor(F, B_hi.gen, B_0.gen, product.parity_check()))
     if out.k != expected_dim:
         raise FiltrationError(
-            f"doubling step: dimension {out.k}, expected {expected_dim}"
+            f"filtration step: dimension {B_hi.k} -> {out.k}, expected {expected_dim}"
         )
     return out
 

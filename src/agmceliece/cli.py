@@ -72,15 +72,17 @@ def _echo_config(args: argparse.Namespace):
 
 
 def _curve_param(args) -> int:
-    return getattr(args, curve_key(args.curve))
+    """The value of the curve's own flag (--r or --q0), which must be given."""
+    key = curve_key(args.curve)
+    param = getattr(args, key)
+    if param is None:
+        raise ParameterError(f"--{key} is required for the {args.curve} curve")
+    return param
 
 
 def _build_curve(args):
     """The curve the flags name, under the same length bound as an artifact's."""
-    key, param = curve_key(args.curve), _curve_param(args)
-    if param is None:
-        raise ParameterError(f"--{key} is required for the {args.curve} curve")
-    return curve_from_descriptor({"kind": args.curve, key: param})
+    return curve_from_descriptor({"kind": args.curve, curve_key(args.curve): _curve_param(args)})
 
 
 # -- subcommands ---------------------------------------------------------------

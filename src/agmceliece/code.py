@@ -3,7 +3,10 @@
 A `LinearCode` always stores its generator in canonical RREF, so structural
 equality is code equality.  Shortened codes keep full length n with forced
 zero coordinates: the filtration of the attack mixes shortened codes into
-Schur products, which needs one common ambient length.
+Schur products, which needs one common ambient length.  The zero code, an
+empty position set and an empty kernel take the same path as any other
+input: their generators are 0 x n arrays, which rref, kernel and matmul
+handle.  Codes are compared with ==, and are not hashable.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ class LinearCode:
     def __init__(self, field: Field, n: int, gen_rows):
         self.field = field
         self.n = int(n)
-        a = mx.as_rep_array(field, gen_rows, cols=self.n)
-        if a.shape[1] != self.n:
-            raise DimensionError(f"generator has {a.shape[1]} cols, expected {self.n}")
+        a = np.asarray(gen_rows, dtype=np.int64)
+        if a.ndim != 2 or a.shape[1] != self.n:
+            raise DimensionError(f"generator has shape {a.shape}, expected (k, {self.n})")
+        if a.size and (a.min() < 0 or a.max() >= field.q):
+            raise ValueError(f"entries outside [0, {field.q})")
         R, rank, piv = mx.rref(field, a)
-        g = R[:rank].copy() if rank else np.zeros((0, self.n), dtype=np.int64)
+        g = R[:rank].copy()
         g.setflags(write=False)
         self.gen = g
         self.pivots = np.array(piv, dtype=np.int64)
@@ -55,9 +60,6 @@ class LinearCode:
             and bool((self.gen == other.gen).all())
         )
 
-    def __hash__(self):
-        return hash((self.field, self.n, self.gen.tobytes()))
-
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}]({self.field!r})"
 
@@ -67,18 +69,6 @@ class LinearCode:
         if self.n != other.n:
             raise DimensionError(f"code lengths differ: {self.n} vs {other.n}")
 
-    @classmethod
-    def zero(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, n, np.zeros((0, n), dtype=np.int64))
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, n, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def all_ones(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, n, np.ones((1, n), dtype=np.int64))
-
     def contains(self, v) -> bool:
         """Exact membership: gen is canonical, so v is a codeword iff
         v = v[pivots] * gen."""
@@ -87,16 +77,9 @@ class LinearCode:
             raise DimensionError(f"vector length {v.size} != n = {self.n}")
         return not self.field.sub(v, self.field.matmul(v[self.pivots], self.gen).ravel()).any()
 
-    def is_subcode_of(self, other: "LinearCode") -> bool:
-        self._check_peer(other)
-        stacked = np.vstack([other.gen, self.gen])
-        return mx.rref(self.field, stacked)[1] == other.k
-
     # -- duality ---------------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.full(self.field, self.n)
         return LinearCode(self.field, self.n, mx.kernel(self.field, self.gen))
 
     def parity_check(self) -> np.ndarray:
@@ -107,18 +90,12 @@ class LinearCode:
 
     def schur_product(self, other: "LinearCode") -> "LinearCode":
         self._check_peer(other)
-        if self.k == 0 or other.k == 0:
-            return LinearCode.zero(self.field, self.n)
         if self is other or self == other:
             return self.schur_square()
-        prods = self.field.mul(
-            np.repeat(self.gen, other.k, axis=0), np.tile(other.gen, (self.k, 1))
-        )
-        return LinearCode(self.field, self.n, prods)
+        prods = self.field.mul(self.gen[:, None, :], other.gen[None])
+        return LinearCode(self.field, self.n, prods.reshape(-1, self.n))
 
     def schur_square(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode.zero(self.field, self.n)
         iu, ju = np.triu_indices(self.k)
         prods = self.field.mul(self.gen[iu], self.gen[ju])
         return LinearCode(self.field, self.n, prods)
@@ -131,27 +108,14 @@ class LinearCode:
             raise DimensionError(f"positions {pos} outside [0, {self.n})")
         return pos
 
-    def puncture(self, pos) -> "LinearCode":
-        """Delete the given coordinates (length shrinks)."""
-        pos = self._check_positions(pos)
-        keep = [c for c in range(self.n) if c not in set(pos)]
-        return LinearCode(self.field, len(keep), self.gen[:, keep])
-
     def shorten(self, pos) -> "LinearCode":
         """Subcode vanishing on the given coordinates, kept at full length."""
         pos = self._check_positions(pos)
-        if not pos or self.k == 0:
-            return LinearCode(self.field, self.n, self.gen)
-        cols = self.gen[:, pos]  # k x |pos|
-        coeff = mx.kernel(self.field, cols.T)
-        if coeff.shape[0] == 0:
-            return LinearCode.zero(self.field, self.n)
+        coeff = mx.kernel(self.field, self.gen[:, pos].T)
         return LinearCode(self.field, self.n, self.field.matmul(coeff, self.gen))
 
     def zero_coordinates(self) -> list[int]:
         """Coordinates where every codeword vanishes (degeneracy set)."""
-        if self.k == 0:
-            return list(range(self.n))
         return [int(c) for c in np.nonzero(~self.gen.any(axis=0))[0]]
 
     # -- metrics -----------------------------------------------------------------
@@ -162,9 +126,6 @@ class LinearCode:
             raise InstanceTooLargeError(
                 f"enumeration of q^k = {self.field.q}^{self.k} codewords refused"
             )
-        if self.k == 0:
-            yield np.zeros(self.n, dtype=np.int64)
-            return
         batch = 4096
         total = self.field.q ** self.k
         radix = self.field.q
@@ -217,16 +178,6 @@ class LinearCode:
                     return True
         return False
 
-    # -- encoding ---------------------------------------------------------------
-
-    def encode(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64).reshape(-1)
-        if msg.size != self.k:
-            raise DimensionError(f"message length {msg.size} != k = {self.k}")
-        if self.k == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        return self.field.matmul(msg[None, :], self.gen).ravel()
-
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -248,7 +199,4 @@ def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.n
     LinearCode for a canonical code.
     """
     M = field.matmul(field.mul(Y[:, None, :], H[None, :, :]).reshape(-1, X.shape[1]), X.T)
-    coeff = mx.kernel(field, M)
-    if coeff.shape[0] == 0:
-        return np.zeros((0, X.shape[1]), dtype=np.int64)
-    return field.matmul(coeff, X)
+    return field.matmul(mx.kernel(field, M), X)

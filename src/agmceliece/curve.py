@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from .errors import ParameterError
-from .field import Field, GF, _ints, prime_power
+from .field import Field, GF, _ints
 from .code import LinearCode
 from .params import curve_key, curve_numbers
 from . import matrix as mx
@@ -202,9 +202,8 @@ class HermitianCurve(OnePointCurve):
     """y^r + y = x^(r+1) over GF(r^2): n = r^3 affine points, g = r(r-1)/2."""
 
     def __init__(self, r: int):
-        p, e = prime_power(r)
-        field = GF(p, 2 * e)
-        _, genus, n = curve_numbers("hermitian", r)
+        q, genus, n = curve_numbers("hermitian", r)  # refuses an r that is no prime power
+        field = GF(q)
         # row a, column b: b^r + b == a^(r+1); argwhere lists them a-major
         a = np.arange(field.q)
         points = np.argwhere(
@@ -261,13 +260,8 @@ class SuzukiCurve(OnePointCurve):
     """y^q - y = x^q0 (x^q - x) over GF(q), q = 2 q0^2: n = q^2, g = q0(q-1)."""
 
     def __init__(self, q0: int):
-        p, e = prime_power(q0)
-        if p != 2:
-            raise ParameterError(f"Suzuki parameter q0={q0} must be a power of 2 >= 2")
-        field = GF(2, 2 * e + 1)
-        q, genus, _ = curve_numbers("suzuki", q0)
-        if q != field.q:
-            raise AssertionError("field order mismatch")
+        q, genus, _ = curve_numbers("suzuki", q0)  # refuses a q0 that is no power of 2
+        field = GF(q)
         # every pair over GF(q) satisfies the equation: x^q = x kills the RHS
         points = np.array([(a, b) for a in range(q) for b in range(q)], dtype=np.int64)
         X = points[:, 0]
@@ -374,12 +368,7 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
             blocks = [curve.basis_series(m, pi, s) for pi, s in norm]
             C = np.hstack(blocks)  # k x total_shift
             coeff = mx.kernel(curve.field, C.T)
-            rows = (
-                curve.field.matmul(coeff, E)
-                if coeff.shape[0]
-                else np.zeros((0, curve.n), dtype=np.int64)
-            )
-            code = LinearCode(curve.field, curve.n, rows)
+            code = LinearCode(curve.field, curve.n, curve.field.matmul(coeff, E))
             deg = m - total_shift
             if deg > 2 * curve.genus - 2 and m < curve.n:
                 expect = deg - curve.genus + 1 if deg >= 0 else 0
@@ -395,11 +384,6 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
             f"evaluation matrix rank {code.k} below basis size {k} (m={m})"
         )
     return code
-
-
-def public_code(curve: OnePointCurve, m: int) -> LinearCode:
-    """Dual of the one-point code: the published code of the scheme."""
-    return ag_code(curve, m).dual()
 
 
 def oracle_filtration(curve: OnePointCurve, m: int, point_index: int, s: int) -> LinearCode:

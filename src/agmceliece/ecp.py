@@ -107,7 +107,7 @@ def ecp_decode(pair: EcpPair, y):
     if y.size != n:
         raise DimensionError(f"received word has length {y.size}, expected {n}")
     H = pair.parity_check
-    syndrome = F.matmul(H, y[:, None]).ravel() if H.shape[0] else np.zeros(0, dtype=np.int64)
+    syndrome = F.matmul(H, y[:, None]).ravel()
     # M(y) = A ∩ Cond(<y>, B^perp); B's generator is a parity check of B^perp
     locators = conductor(F, pair.a.gen, y[None, :], pair.b.gen)
     if locators.shape[0] == 0:
@@ -116,17 +116,13 @@ def ecp_decode(pair: EcpPair, y):
     for a in locators:
         tried += 1
         J = np.nonzero(a == 0)[0]
+        R, rank, piv = mx.rref(F, np.hstack([H[:, J], syndrome[:, None]]))
+        if J.size in piv:
+            continue  # inconsistent erasure system
+        if rank < J.size:
+            continue  # non-unique erasure fill-in
         e = np.zeros(n, dtype=np.int64)
-        if J.size:
-            R, rank, piv = mx.rref(F, np.hstack([H[:, J], syndrome[:, None]]))
-            if J.size in piv:
-                continue  # inconsistent erasure system
-            if rank < J.size:
-                continue  # non-unique erasure fill-in
-            e[J] = R[: J.size, -1]
-        else:
-            if syndrome.any():
-                continue
+        e[J] = R[: J.size, -1]
         wt = int(np.count_nonzero(e))
         if wt > pair.t:
             continue

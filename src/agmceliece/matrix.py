@@ -10,20 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .field import Field
-
-
-def as_rep_array(field: Field, data, cols: int | None = None) -> np.ndarray:
-    """Validate and normalize a 2-D array of element reps."""
-    a = np.asarray(data, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, cols or 0)
-    if a.ndim != 2:
-        raise DimensionError(f"expected 2-D data, got shape {a.shape}")
-    if a.size and (a.min() < 0 or a.max() >= field.q):
-        raise ValueError(f"entries outside [0, {field.q})")
-    return a
 
 
 def rref(field: Field, M: np.ndarray):
@@ -67,6 +54,5 @@ def kernel(field: Field, M: np.ndarray) -> np.ndarray:
     free = sorted(set(range(cols)) - set(piv))
     K = np.zeros((len(free), cols), dtype=np.int64)
     K[range(len(free)), free] = 1
-    if rank and free:
-        K[:, piv] = field.neg(R[:rank, free].T)
+    K[:, piv] = field.neg(R[:, free].T)
     return K

@@ -172,8 +172,6 @@ def keygen(
     g, n = curve.genus, curve.n
     check_degree(m, g, n)
     t = scheme_t(m, g)
-    if t < 1:
-        raise ParameterError(f"m={m} gives error budget t={t}; scheme needs t >= 1")
     c_pub = ag_code(curve, m).dual()
     k = c_pub.k
     rng_s = random.Random(derive_seed(seed, "scramble"))

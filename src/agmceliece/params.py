@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .errors import ParameterError
+from .field import prime_power
 
 # each family: the descriptor key of its parameter, and (q, g, n) from that parameter
 _CURVES = {
@@ -42,15 +43,26 @@ def curve_key(kind: str) -> str:
 
 
 def curve_numbers(kind: str, param: int) -> tuple[int, int, int]:
-    """(q, g, n) for the named curve family."""
-    curve_key(kind)  # refuses an unknown kind
+    """(q, g, n) for the named curve family.
+
+    Refuses a parameter that names no curve: r must be a prime power and q0
+    a power of 2, both within the field bound.
+    """
+    key = curve_key(kind)  # refuses an unknown kind
+    p, _ = prime_power(param)
+    if kind == "suzuki" and p != 2:
+        raise ParameterError(f"suzuki parameter {key}={param} is not a power of 2")
     return _CURVES[kind][1](param)
 
 
 def check_degree(m: int, g: int, n: int):
-    """The scheme's range for the divisor degree: 3g - 1 < m < n."""
-    if not n > m > 3 * g - 1:
-        raise ParameterError(f"need n > m > 3g-1 = {3 * g - 1}, got m = {m} (n = {n})")
+    """The scheme's range for the divisor degree: 3g < m < n.
+
+    m > 3g is exactly t = (m - 3g + 1) // 2 >= 1, and m < n keeps the code
+    proper; keygen, scheme_params and SecretKey.from_dict all use this range.
+    """
+    if not n > m > 3 * g:
+        raise ParameterError(f"need n > m > 3g = {3 * g}, got m = {m} (n = {n})")
 
 
 @dataclass

@@ -43,8 +43,13 @@ def rng():
 
 
 def random_code(field, n, k, rng) -> LinearCode:
-    rows = np.array([[field.random_rep(rng) for _ in range(n)] for _ in range(k)])
-    return LinearCode(field, n, rows)
+    rows = [[field.random_rep(rng) for _ in range(n)] for _ in range(k)]
+    return LinearCode(field, n, np.array(rows, dtype=np.int64).reshape(k, n))
+
+
+def is_subcode(A: LinearCode, B: LinearCode) -> bool:
+    """A within B: every generator row of A is a codeword of B."""
+    return all(B.contains(row) for row in A.gen)
 
 
 def random_matrix(field, rows, cols, rng) -> np.ndarray:

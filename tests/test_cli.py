@@ -32,6 +32,22 @@ def test_params_guard_exit_code(capsys):
     assert run_cli(["params", "--curve", "hermitian", "--r", "3", "--m", "8"]) == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--curve", "hermitian", "--r", "6", "--m", "50"],
+    ["--curve", "suzuki", "--q0", "3", "--m", "200"],
+    ["--curve", "hermitian", "--m", "10"],
+    ["--curve", "hermitian", "--r", "1", "--m", "0"],
+    ["--curve", "hermitian", "--r", "2", "--m", "3"],
+], ids=["r_not_prime_power", "q0_not_power_of_2", "r_missing", "r_1", "t_0"])
+def test_params_refuses_what_keygen_refuses(capsys, flags):
+    # params describes only curves and degrees keygen accepts: each exits 4
+    # with one guard line, not a report or a traceback
+    assert run_cli(["params", *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [ln.split(":")[0] for ln in captured.err.splitlines()] == ["config", "parameter guard"]
+
+
 def test_keygen_encrypt_attack_golden(tmp_path, capsys):
     pub = str(tmp_path / "pub.json")
     sec = str(tmp_path / "sec.json")

@@ -2,23 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agmceliece import GF, Decoder, EcpPair, LinearCode
+from agmceliece import GF, Decoder, EcpPair, LinearCode, ecp_decode
 from agmceliece.code import conductor
 from agmceliece.errors import DecodeFailureError, DimensionError, InstanceTooLargeError
 
-from conftest import rep_matrices, random_code, random_matrix
+from conftest import is_subcode, rep_matrices, random_code, random_matrix
+
+
+def full_code(F, n) -> LinearCode:
+    return LinearCode(F, n, np.eye(n, dtype=np.int64))
+
+
+def zero_code(F, n) -> LinearCode:
+    return LinearCode(F, n, np.zeros((0, n), dtype=np.int64))
+
+
+def all_ones_code(F, n) -> LinearCode:
+    return LinearCode(F, n, np.ones((1, n), dtype=np.int64))
 
 
 def test_dual_of_full_space_is_zero():
     F = GF(5)
-    assert LinearCode.full(F, 4).dual().k == 0
-    assert LinearCode.zero(F, 4).dual() == LinearCode.full(F, 4)
+    assert full_code(F, 4).dual().k == 0
+    assert zero_code(F, 4).dual() == full_code(F, 4)
 
 
 def test_dual_involution_random(rng):
     for F in (GF(4), GF(9)):
-        for _ in range(50):
-            C = random_code(F, 7, rng.randrange(1, 7), rng)
+        for k in [0, 7] + [rng.randrange(1, 7) for _ in range(50)]:
+            C = random_code(F, 7, k, rng)
             assert C.dual().dual() == C
 
 
@@ -32,11 +44,11 @@ def test_repetition_dual_is_sum_zero():
 
 def test_schur_identity_element(rng):
     F = GF(9)
-    ones = LinearCode.all_ones(F, 6)
+    ones = all_ones_code(F, 6)
     for _ in range(20):
         A = random_code(F, 6, rng.randrange(1, 5), rng)
         assert A.schur_product(ones) == A
-        assert A.schur_product(LinearCode.zero(F, 6)).k == 0
+        assert A.schur_product(zero_code(F, 6)).k == 0
 
 
 def test_schur_commutative_and_monotone(rng):
@@ -47,7 +59,7 @@ def test_schur_commutative_and_monotone(rng):
         assert A.schur_product(B) == B.schur_product(A)
         # enlarge A by one random row: product can only grow
         A2 = LinearCode(F, 6, np.vstack([A.gen, random_code(F, 6, 1, rng).gen]))
-        assert A.schur_product(B).is_subcode_of(A2.schur_product(B))
+        assert is_subcode(A.schur_product(B), A2.schur_product(B))
 
 
 def test_schur_adjunction(rng):
@@ -57,42 +69,24 @@ def test_schur_adjunction(rng):
         A = random_code(F, 6, rng.randrange(1, 4), rng)
         B = random_code(F, 6, rng.randrange(1, 4), rng)
         C = random_code(F, 6, rng.randrange(1, 4), rng)
-        lhs = A.schur_product(B).is_subcode_of(C.dual())
-        mid = B.schur_product(C).is_subcode_of(A.dual())
-        rhs = A.schur_product(C).is_subcode_of(B.dual())
+        lhs = is_subcode(A.schur_product(B), C.dual())
+        mid = is_subcode(B.schur_product(C), A.dual())
+        rhs = is_subcode(A.schur_product(C), B.dual())
         assert lhs == mid == rhs
 
 
 def test_schur_square_all_ones():
     F = GF(9)
-    ones = LinearCode.all_ones(F, 5)
+    ones = all_ones_code(F, 5)
     assert ones.schur_square() == ones
 
 
 def test_schur_square_dimension_bound(rng):
     F = GF(9)
     for _ in range(100):
-        C = random_code(F, 8, rng.randrange(1, 6), rng)
+        C = random_code(F, 8, rng.randrange(0, 6), rng)
         k = C.k
         assert C.schur_square().k <= min(8, k * (k + 1) // 2)
-
-
-def test_puncture():
-    F = GF(5)
-    C = LinearCode.full(F, 4)
-    assert C.puncture([]) == C
-    P = C.puncture([1])
-    assert P.n == 3 and P == LinearCode.full(F, 3)
-    with pytest.raises(DimensionError):
-        C.puncture([9])
-
-
-def test_puncture_rank_drop_bound(rng):
-    F = GF(4)
-    for _ in range(30):
-        C = random_code(F, 7, rng.randrange(1, 6), rng)
-        pos = sorted(rng.sample(range(7), 2))
-        assert C.puncture(pos).k >= C.k - 2
 
 
 def test_shorten_gf2_sum_zero():
@@ -104,31 +98,37 @@ def test_shorten_gf2_sum_zero():
 
 def test_shorten_dimension_drop(rng):
     F = GF(9)
-    for _ in range(30):
-        C = random_code(F, 7, rng.randrange(1, 6), rng)
+    for k in [0, 7] + [rng.randrange(1, 6) for _ in range(30)]:
+        C = random_code(F, 7, k, rng)
         S = C.shorten([0])
         degenerate = 0 in C.zero_coordinates()
         assert S.k == (C.k if degenerate else C.k - 1)
         assert C.shorten([]) == C
+    with pytest.raises(DimensionError):
+        C.shorten([9])
 
 
 def test_shorten_puncture_duality(rng):
     # puncture(C^⊥, J) = (shorten(C, J) with the J columns removed)^⊥
+    def puncture(C, J):
+        keep = [c for c in range(C.n) if c not in J]
+        return LinearCode(C.field, len(keep), C.gen[:, keep])
+
     F = GF(4)
     for _ in range(50):
         C = random_code(F, 7, rng.randrange(1, 6), rng)
         J = sorted(rng.sample(range(7), rng.randrange(0, 3)))
-        assert C.dual().puncture(J) == C.shorten(J).puncture(J).dual()
+        assert puncture(C.dual(), J) == puncture(C.shorten(J), J).dual()
 
 
 def test_minimum_distance_trivia():
     F = GF(3)
     assert LinearCode(F, 5, [[1, 1, 1, 1, 1]]).minimum_distance() == 5
-    assert LinearCode.full(F, 4).minimum_distance() == 1
+    assert full_code(F, 4).minimum_distance() == 1
 
 
 def test_minimum_distance_guard():
-    C = LinearCode.full(GF(256), 8)
+    C = full_code(GF(256), 8)
     with pytest.raises(InstanceTooLargeError):
         C.minimum_distance()
 
@@ -144,14 +144,14 @@ def test_bounded_weight_matches_enumeration(rng):
 
 def test_degeneracy_set():
     F = GF(4)
-    assert LinearCode.full(F, 5).zero_coordinates() == []
+    assert full_code(F, 5).zero_coordinates() == []
     C = LinearCode(F, 4, [[0, 1, 2, 0], [0, 2, 1, 0]])
     assert C.zero_coordinates() == [0, 3]
 
 
 def _zero_error_decoder(C: LinearCode) -> Decoder:
     # (all-ones, C^perp) is a 0-error-correcting pair for C
-    pair = EcpPair(LinearCode.all_ones(C.field, C.n), C.dual(), C, 0)
+    pair = EcpPair(all_ones_code(C.field, C.n), C.dual(), C, 0)
     return Decoder(pair, C.gen)
 
 
@@ -160,10 +160,9 @@ def test_encode_unencode_round_trip(rng):
     for _ in range(100):
         C = random_code(F, 7, 3, rng)
         m = np.array([F.random_rep(rng) for _ in range(3)])
-        c = C.encode(m)
+        c = F.matmul(m, C.gen).ravel()
         assert C.contains(c)
         assert (_zero_error_decoder(C).decode(c) == m).all()
-    assert (random_code(F, 7, 3, rng).encode(np.zeros(3, dtype=np.int64)) == 0).all()
 
 
 def test_unencode_rejects_non_codeword():
@@ -172,6 +171,11 @@ def test_unencode_rejects_non_codeword():
     assert not C.contains(np.array([1, 0, 0, 0]))
     with pytest.raises(DecodeFailureError):
         _zero_error_decoder(C).decode(np.array([1, 0, 0, 0]))
+    # with B the zero code the all-ones locator survives, and its empty
+    # erasure system refuses the nonzero syndrome
+    pair = EcpPair(all_ones_code(F, 4), zero_code(F, 4), C, 0)
+    with pytest.raises(DecodeFailureError, match="no locator of 1 candidates"):
+        ecp_decode(pair, np.array([1, 0, 0, 0]))
 
 
 def test_contains():
@@ -181,8 +185,8 @@ def test_contains():
         assert C.contains(np.array(row))
     assert C.contains(np.zeros(4, dtype=np.int64))
     assert not C.contains(np.array([0, 0, 0, 1]))
-    assert LinearCode.zero(F, 4).contains(np.zeros(4, dtype=np.int64))
-    assert not LinearCode.zero(F, 4).contains(np.array([0, 1, 0, 0]))
+    assert zero_code(F, 4).contains(np.zeros(4, dtype=np.int64))
+    assert not zero_code(F, 4).contains(np.array([0, 1, 0, 0]))
     with pytest.raises(DimensionError):
         C.contains(np.array([1, 0]))
 

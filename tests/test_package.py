@@ -23,3 +23,10 @@ def test_no_module_reads_the_environment():
     assert modules
     hits = {m.name: _env_reads(ast.parse(m.read_text())) for m in modules}
     assert not {name: lines for name, lines in hits.items() if lines}
+
+
+def test_every_export_resolves():
+    # an export cannot outlive its symbol
+    import agmceliece
+
+    assert [name for name in agmceliece.__all__ if not hasattr(agmceliece, name)] == []

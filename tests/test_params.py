@@ -88,7 +88,15 @@ def test_attack_workfactor_lambdas():
 
 def test_scheme_params_guards():
     with pytest.raises(ParameterError):
-        scheme_params("hermitian", 3, 8)  # m <= 3g-1
+        scheme_params("hermitian", 3, 8)  # m < 3g
+    with pytest.raises(ParameterError):
+        scheme_params("hermitian", 3, 9)  # m = 3g: t would be 0
+    with pytest.raises(ParameterError):
+        scheme_params("hermitian", 6, 50)  # r is no prime power
+    with pytest.raises(ParameterError):
+        scheme_params("hermitian", 1, 0)  # r = 1 names no field
+    with pytest.raises(ParameterError):
+        scheme_params("suzuki", 3, 200)  # q0 is no power of 2
     with pytest.raises(ParameterError):
         scheme_params("hermitian", 3, 27)  # m >= n
     with pytest.raises(ParameterError):

@@ -6,7 +6,7 @@ import pytest
 
 from agmceliece import ag_code, hermitian_curve
 
-from conftest import random_code
+from conftest import is_subcode, random_code
 
 
 def test_product_identity_specific(herm3):
@@ -18,7 +18,7 @@ def test_product_below_hypothesis_is_strict(herm3):
     # deg F = 5 < 2g = 6: the product misses pole order 12 and is a strict subcode
     P = ag_code(herm3, 5).schur_product(ag_code(herm3, 7))
     C = ag_code(herm3, 12)
-    assert P.is_subcode_of(C) and P.k == C.k - 1
+    assert is_subcode(P, C) and P.k == C.k - 1
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
