@@ -139,13 +139,11 @@ def run_algorithm_2(
     for s in range(levels - 1, -1, -1):
         i = T >> s
         for sigma in (i, i + 1):
-            hi = (sigma + 1) // 2
-            lo = sigma // 2
-            if hi not in filt or lo not in filt:
-                raise FiltrationError(
-                    f"dyadic chain needs B_{hi}, B_{lo} for sigma={sigma}; missing"
-                )
-            code = filtration_step_doubling(filt[hi], filt[lo], filt[0], filt[0].k - sigma)
+            # ceil(sigma/2) and floor(sigma/2) lie in {T >> (s+1), (T >> (s+1)) + 1}:
+            # the level above put both, or they are among B_0..B_3
+            code = filtration_step_doubling(
+                filt[(sigma + 1) // 2], filt[sigma // 2], filt[0], filt[0].k - sigma
+            )
             solves += 1
             put(sigma, code)
     return filt, solves
@@ -366,7 +364,6 @@ def extended_filtration(
     p_index: int,
     subsets: list[list[int]],
     target: int,
-    algorithm: int = 2,
 ) -> LinearCode:
     """B_target as a sum of subset-shortened filtrations (the high-m route).
 
@@ -408,8 +405,7 @@ def extended_filtration(
         B1j = C.shorten(sorted(s | {p_index}))
         if B1j.k != B0j.k - 1:
             raise FiltrationError("subset chain start is not codimension 1")
-        runner = run_algorithm_1 if algorithm == 1 else run_algorithm_2
-        filt, _ = runner(B0j, B1j, target)
+        filt, _ = run_algorithm_2(B0j, B1j, target)
         piece = filt[target]
         total = piece if total is None else LinearCode(
             C.field, C.n, np.vstack([total.gen, piece.gen])

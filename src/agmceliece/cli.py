@@ -101,7 +101,7 @@ def cmd_params(args) -> int:
 
 def cmd_keygen(args) -> int:
     curve = _build_curve(args)
-    pk, sk = keygen(curve, args.m, args.seed, permute=not args.no_permute)
+    pk, sk = keygen(curve, args.m, args.seed)
     _dump_json(args.pub, pk.to_dict())
     _dump_json(args.sec, sk.to_dict())
     print(f"wrote {args.pub} (n={pk.n}, k={pk.k}, t={pk.t}) and {args.sec}")
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pub", default="pub.json")
     p.add_argument("--sec", default="sec.json")
-    p.add_argument("--no-permute", action="store_true")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt a message (random if none given)")

@@ -140,9 +140,9 @@ class Decoder:
 
     Built once from the pair and a k x n generator matrix G of C with
     independent rows.  It keeps C's parity check (on the pair), an
-    information set I of G (the pivot columns of rref(G)) and G[:, I]^-1, so
-    a decode is `ecp_decode` plus one matmul, msg = c[I] * G[:, I]^-1, and an
-    exact check that msg * G = c.
+    information set I of G and G[:, I]^-1, both read off one elimination,
+    so a decode is `ecp_decode` plus one matmul, msg = c[I] * G[:, I]^-1,
+    and an exact check that msg * G = c.
     """
 
     __slots__ = ("pair", "g", "info_set", "info_inv")
@@ -153,17 +153,18 @@ class Decoder:
         if g.ndim != 2 or g.shape[1] != n:
             raise DimensionError(f"generator has shape {g.shape}, expected (k, {n})")
         k = g.shape[0]
-        _, rank, piv = mx.rref(F, g)
+        # rref([G | 1]) = [rref(G) | E] with E G = rref(G); when G has rank k,
+        # all k pivots I lie among G's n columns and E = G[:, I]^-1
+        R, _, piv = mx.rref(F, np.hstack([g, np.eye(k, dtype=np.int64)]))
+        rank = sum(c < n for c in piv)
         if rank != k:
             raise DimensionError(f"generator has rank {rank}, expected {k}")
-        # rref([G_I | 1]) = [1 | G_I^-1]
-        R, _, _ = mx.rref(F, np.hstack([g[:, piv], np.eye(k, dtype=np.int64)]))
         g.setflags(write=False)
         pair.parity_check  # computed here once, not by the first decode
         self.pair = pair
         self.g = g
         self.info_set = np.array(piv, dtype=np.int64)
-        self.info_inv = R[:, k:]
+        self.info_inv = R[:, n:]
 
     def decode(self, y) -> np.ndarray | None:
         """The message whose codeword is within t of y, or None when the

@@ -83,14 +83,12 @@ class Field:
         self._build_exp(digits)
         if q <= _FULL_TABLE_LIMIT:
             self._add_table = ((digits[:, None, :] + digits[None, :, :]) % p) @ self._places
-            self._sub_table = self._add_table[:, self._neg_table]
             mul = np.zeros((q, q), dtype=np.int64)
             nz = reps[1:]
             mul[np.ix_(nz, nz)] = self._exp_ext[self._log[nz][:, None] + self._log[nz][None, :]]
             self._mul_table = mul
         else:
             self._add_table = None
-            self._sub_table = None
             self._mul_table = None
 
     def _build_exp(self, digits: np.ndarray):
@@ -150,9 +148,7 @@ class Field:
 
     def add(self, a, b):
         if self.p == 2:
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.bitwise_xor(a, b)
-            return a ^ b
+            return np.bitwise_xor(a, b)
         if self._add_table is not None:
             return self._add_table[a, b]
         da = self._digit_table[a]
@@ -163,10 +159,6 @@ class Field:
         return self._neg_table[a]
 
     def sub(self, a, b):
-        if self.p == 2:
-            return self.add(a, b)
-        if self._sub_table is not None:
-            return self._sub_table[a, b]
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

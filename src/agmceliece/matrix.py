@@ -40,7 +40,7 @@ def rref(field: Field, M: np.ndarray):
         col[r] = 0
         tgt = np.nonzero(col)[0]
         if tgt.size:
-            A[tgt, c:] = field.sub(A[tgt, c:], field.mul(col[tgt, None], A[r, c:][None, :]))
+            A[tgt, c:] = field.add(A[tgt, c:], field.mul(field.neg(col[tgt, None]), A[r, c:]))
         pivots.append(c)
         r += 1
     return A[:r], r, pivots

@@ -1,10 +1,9 @@
 """McEliece over duals of one-point AG codes.
 
-The published key is S * G_can * P: a secretly scrambled, optionally
-column-permuted generator matrix of C_L(m*Pinf)^perp, together with the
-error budget t = floor((d* - g - 1)/2), d* = m - 2g + 2.  The legitimate
-receiver decodes with the error-correcting pair A = C_L((t+g)Pinf),
-B = C_L((m-t-g)Pinf).
+The published key is S * G_can * P: a secretly scrambled, column-permuted
+generator matrix of C_L(m*Pinf)^perp, together with the error budget
+t = floor((d* - g - 1)/2), d* = m - 2g + 2.  The legitimate receiver decodes
+with the error-correcting pair A = C_L((t+g)Pinf), B = C_L((m-t-g)Pinf).
 """
 
 from __future__ import annotations
@@ -72,25 +71,22 @@ class PublicKey:
         # keygen's budget always lies here: 1 <= t = (m-3g+1)//2 < m-g+1 = n-k
         if not 1 <= pk.t <= n - pk.k:
             raise ValueError(f"error budget t = {pk.t} outside [1, n - k = {n - pk.k}]")
+        # a dependent row would encrypt messages that no receiver can recover
+        rank = mx.rref(field, pk.g_pub)[1]
+        if rank != pk.k:
+            raise DimensionError(f"g_pub has rank {rank}, expected {pk.k}")
         return pk
 
 
 @dataclass(eq=False)
 class SecretKey:
-    curve_descriptor: dict
+    curve: OnePointCurve
     m: int
     scramble: np.ndarray       # k x k invertible
     permutation: list[int]     # image positions: column j of G_can lands at permutation[j]
     seed: int
 
-    _curve_cache: OnePointCurve | None = None
     _decoder_cache: Decoder | None = dc_field(default=None, repr=False)
-
-    @property
-    def curve(self) -> OnePointCurve:
-        if self._curve_cache is None:
-            self._curve_cache = curve_from_descriptor(self.curve_descriptor)
-        return self._curve_cache
 
     @property
     def decoder(self) -> Decoder:
@@ -101,7 +97,7 @@ class SecretKey:
 
     def to_dict(self) -> dict:
         return {
-            "curve": self.curve_descriptor,
+            "curve": self.curve.descriptor(),
             "m": self.m,
             "scramble": [[int(x) for x in row] for row in self.scramble],
             "permutation": list(self.permutation),
@@ -126,12 +122,11 @@ class SecretKey:
         if np.unique(perm).size != n:
             raise ValueError(f"permutation is not a bijection of range({n})")
         sk = cls(
-            d["curve"],
+            curve,
             m,
             _read_array(d["scramble"], "scramble", (None, None), curve.field.q),
             perm.tolist(),
             int(_ints(d["seed"], "seed")),
-            _curve_cache=curve,
         )
         sk.decoder
         return sk
@@ -165,9 +160,7 @@ def _permute_columns(a: np.ndarray, perm: list[int]) -> np.ndarray:
     return out
 
 
-def keygen(
-    curve: OnePointCurve, m: int, seed: int, permute: bool = True
-) -> tuple[PublicKey, SecretKey]:
+def keygen(curve: OnePointCurve, m: int, seed: int) -> tuple[PublicKey, SecretKey]:
     """Generate a key pair; the caller picks m, keygen enforces scheme validity."""
     g, n = curve.genus, curve.n
     check_degree(m, g, n)
@@ -176,15 +169,12 @@ def keygen(
     k = c_pub.k
     rng_s = random.Random(derive_seed(seed, "scramble"))
     S = _random_invertible(curve.field, k, rng_s)
-    if permute:
-        rng_p = random.Random(derive_seed(seed, "permute"))
-        perm = list(range(n))
-        rng_p.shuffle(perm)
-    else:
-        perm = list(range(n))
+    rng_p = random.Random(derive_seed(seed, "permute"))
+    perm = list(range(n))
+    rng_p.shuffle(perm)
     g_pub = _permute_columns(curve.field.matmul(S, c_pub.gen), perm)
     pk = PublicKey(curve.field, n, t, g_pub)
-    sk = SecretKey(curve.descriptor(), m, S, perm, seed)
+    sk = SecretKey(curve, m, S, perm, seed)
     return pk, sk
 
 
@@ -211,36 +201,31 @@ def encrypt(pk: PublicKey, msg, seed: int, weight: int | None = None) -> Ciphert
 
 def legitimate_pair(sk: SecretKey) -> EcpPair:
     """The receiver's pair A = C_L((t+g)Pinf), B = C_L((m-t-g)Pinf), permuted."""
-    return _pair_and_g_can(sk)[0]
-
-
-def _pair_and_g_can(sk: SecretKey) -> tuple[EcpPair, np.ndarray]:
-    """The legitimate pair and G_can, the canonical generator of
-    C = C_L(m Pinf)^perp before the permutation; C is dualised once for both."""
-    curve = sk.curve
-    g = curve.genus
-    t = scheme_t(sk.m, g)
-    deg_e = t + g
-    if not sk.m > deg_e:
-        raise ParameterError(f"need m > t+g, got m={sk.m}, t+g={deg_e}")
-    perm = sk.permutation
-    A = LinearCode(curve.field, curve.n, _permute_columns(ag_code(curve, deg_e).gen, perm))
-    B = LinearCode(
-        curve.field, curve.n, _permute_columns(ag_code(curve, sk.m - deg_e).gen, perm)
-    )
-    g_can = ag_code(curve, sk.m).dual().gen
-    C = LinearCode(curve.field, curve.n, _permute_columns(g_can, perm))
-    return EcpPair(A, B, C, t), g_can
+    return sk.decoder.pair
 
 
 def _legitimate_decoder(sk: SecretKey) -> Decoder:
-    """The legitimate pair with G_pub = S * G_can * P rebuilt from the key."""
-    pair, g_can = _pair_and_g_can(sk)
-    k = pair.c.k
-    if sk.scramble.shape != (k, k):
-        raise DimensionError(f"scramble matrix has shape {sk.scramble.shape}, expected ({k}, {k})")
-    g_pub = _permute_columns(sk.curve.field.matmul(sk.scramble, g_can), sk.permutation)
-    return Decoder(pair, g_pub)
+    """The legitimate pair for C = C_L(m Pinf)^perp, with G_pub = S * G_can * P
+    rebuilt from the key; G_can is C's canonical generator before the
+    permutation."""
+    curve, perm = sk.curve, sk.permutation
+    t = scheme_t(sk.m, curve.genus)
+    deg_e = t + curve.genus
+
+    def permuted(gen: np.ndarray) -> LinearCode:
+        return LinearCode(curve.field, curve.n, _permute_columns(gen, perm))
+
+    g_can = ag_code(curve, sk.m).dual().gen
+    C = permuted(g_can)
+    if sk.scramble.shape != (C.k, C.k):
+        raise DimensionError(
+            f"scramble matrix has shape {sk.scramble.shape}, expected ({C.k}, {C.k})"
+        )
+    A = permuted(ag_code(curve, deg_e).gen)
+    B = permuted(ag_code(curve, sk.m - deg_e).gen)
+    return Decoder(
+        EcpPair(A, B, C, t), _permute_columns(curve.field.matmul(sk.scramble, g_can), perm)
+    )
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> np.ndarray:

@@ -224,11 +224,10 @@ def test_repair_desk(herm3):
         repair_degenerate(filt[0], filt[1], 0)  # not degenerate at P
 
 
-def test_build_ecp_desk(herm3, desk3):
+def test_build_ecp_desk(desk3):
     pk, _ = desk3
     t, g = 2, 3
-    plain_pk, _ = keygen(herm3, 13, seed=42, permute=False)
-    c_pub = plain_pk.code()
+    c_pub = pk.code()
     filt, _ = run_algorithm_1(*init_filtration(c_pub.dual(), 0), target=t + g + 1)
     b_hat = repair_degenerate(filt[t + g], filt[t + g + 1], 0)
     pair = build_ecp(b_hat, c_pub, t)

@@ -251,6 +251,23 @@ def test_public_key_entry_outside_field_format_error(tmp_path, r3_keys, capsys):
                    str(tmp_path / "t.json")], capsys)
 
 
+@pytest.mark.parametrize("command", ["encrypt", "attack"])
+def test_public_key_rank_deficient_format_error(tmp_path, r3_keys, capsys, command):
+    # unchecked, encrypt writes a ciphertext no receiver can recover and the
+    # attack reports a saturated Schur square as a stage failure
+    pub = dict(r3_keys["pub"])
+    pub["g_pub"] = [list(row) for row in pub["g_pub"]]
+    pub["g_pub"][1] = list(pub["g_pub"][0])
+    (tmp_path / "pub.json").write_text(json.dumps(pub))
+    argv = [command, "--pub", str(tmp_path / "pub.json")]
+    if command == "encrypt":
+        argv += ["--seed", "2", "--ct", str(tmp_path / "ct.json"),
+                 "--msg-out", str(tmp_path / "msg.json")]
+    else:
+        argv += ["--transcript", str(tmp_path / "t.json")]
+    assert "g_pub has rank 15, expected 16" in _format_error(argv, capsys)
+
+
 def test_scramble_of_wrong_size_format_error(tmp_path, r3_keys, capsys):
     # square and invertible, but (k-1) x (k-1): only the code knows k
     sec = dict(r3_keys["sec"])

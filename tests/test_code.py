@@ -155,6 +155,43 @@ def _zero_error_decoder(C: LinearCode) -> Decoder:
     return Decoder(pair, C.gen)
 
 
+def _two_step_info_set(F, g):
+    """(rank, I, G[:, I]^-1) by rref(G), then rref([G[:, I] | 1]) = [1 | G[:, I]^-1]."""
+    from agmceliece import matrix as mx
+
+    k = g.shape[0]
+    _, rank, piv = mx.rref(F, g)
+    if rank != k:
+        return rank, None, None
+    R, _, _ = mx.rref(F, np.hstack([g[:, piv], np.eye(k, dtype=np.int64)]))
+    return rank, np.array(piv, dtype=np.int64), R[:, k:]
+
+
+@pytest.mark.parametrize("q", [4, 9, 49, 2**9])
+def test_decoder_info_set_matches_two_step_reference(q, rng):
+    F, n = GF(q), 7
+    dependent = random_matrix(F, 4, n, rng)
+    dependent[1] = dependent[0]
+    cases = [np.zeros((0, n), dtype=np.int64), dependent, np.zeros((2, n), dtype=np.int64)]
+    cases += [random_matrix(F, k, n, rng) for k in (1, 3, 5, n) for _ in range(5)]
+    full = 0
+    for g in cases:
+        k = g.shape[0]
+        C = LinearCode(F, n, g)
+        pair = EcpPair(all_ones_code(F, n), C.dual(), C, 0)
+        rank, info_set, info_inv = _two_step_info_set(F, g)
+        if rank < k:
+            with pytest.raises(DimensionError, match=f"generator has rank {rank}, expected {k}$"):
+                Decoder(pair, g)
+            continue
+        full += 1
+        dec = Decoder(pair, g)
+        assert dec.info_set.dtype == info_set.dtype and (dec.info_set == info_set).all()
+        assert dec.info_inv.shape == info_inv.shape == (k, k)
+        assert dec.info_inv.dtype == info_inv.dtype and (dec.info_inv == info_inv).all()
+    assert full >= 15  # k = 0 and most random draws have full rank
+
+
 def test_encode_unencode_round_trip(rng):
     F = GF(9)
     for _ in range(100):

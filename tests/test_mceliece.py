@@ -191,6 +191,12 @@ def test_minimal_e_degree_boundary(herm4):
     ).all_pass
 
 
+def test_secret_key_keeps_its_curve(herm3, desk3):
+    _, sk = desk3
+    assert keygen(herm3, 13, seed=42)[1].curve is herm3
+    assert SecretKey.from_dict(sk.to_dict()).to_dict() == sk.to_dict()
+
+
 def test_serialization_round_trips(desk3, tmp_path):
     pk, sk = desk3
     pk2 = PublicKey.from_dict(pk.to_dict())
