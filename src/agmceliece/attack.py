@@ -53,11 +53,10 @@ def recover_params(c_pub: LinearCode) -> tuple[int, int]:
 
 def choose_p_index(C: LinearCode) -> int:
     """First coordinate at which C is non-degenerate."""
-    degenerate = set(C.zero_coordinates())
-    for i in range(C.n):
-        if i not in degenerate:
-            return i
-    raise ParameterError("code is identically zero; no usable coordinate")
+    usable = np.flatnonzero(C.gen.any(axis=0))
+    if not usable.size:
+        raise ParameterError("code is identically zero; no usable coordinate")
+    return int(usable[0])
 
 
 def init_filtration(C: LinearCode, p_index: int) -> tuple[LinearCode, LinearCode]:
@@ -73,14 +72,13 @@ def init_filtration(C: LinearCode, p_index: int) -> tuple[LinearCode, LinearCode
 def filtration_step(B_s: LinearCode, B_sm1: LinearCode) -> LinearCode:
     """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)): the doubling step with
     B_hi = B_lo = B_s, whose product is the Schur square."""
-    return filtration_step_doubling(B_s, B_s, B_sm1, B_s.k - 1)
+    return filtration_step_doubling(B_s, B_s, B_sm1)
 
 
-def filtration_step_doubling(
-    B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode, expected_dim: int
-) -> LinearCode:
-    """B_s = B_hi ∩ Cond(B_0, B_lo * B_hi), from B_hi = B_floor((s+1)/2) and
-    B_lo = B_floor(s/2): the z in B_hi with z * B_0 inside B_lo * B_hi."""
+def filtration_step_doubling(B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode) -> LinearCode:
+    """B_σ = B_hi ∩ Cond(B_0, B_lo * B_hi), σ = hi + lo - (index of B_0): the
+    z in B_hi with z * B_0 inside B_lo * B_hi.  Each filtration index costs one
+    dimension, so the result has k(B_hi) + k(B_lo) - k(B_0)."""
     product = B_lo.schur_product(B_hi)
     if product.k >= B_hi.n:
         raise FiltrationError(
@@ -89,23 +87,33 @@ def filtration_step_doubling(
         )
     F = B_hi.field
     out = LinearCode(F, B_hi.n, conductor(F, B_hi.gen, B_0.gen, product.parity_check()))
-    if out.k != expected_dim:
+    expected = B_hi.k + B_lo.k - B_0.k
+    if out.k != expected:
         raise FiltrationError(
-            f"filtration step: dimension {B_hi.k} -> {out.k}, expected {expected_dim}"
+            f"filtration step: dimension {B_hi.k} -> {out.k}, expected {expected}"
         )
     return out
+
+
+def _run_chain(
+    B0: LinearCode, B1: LinearCode, steps: list[tuple[int, int, int]]
+) -> tuple[dict[int, LinearCode], int]:
+    """Solve B_{hi+lo-base} from (B_hi, B_lo, B_base) for each step in order.
+    An index solved twice must agree with itself.  Returns (map, systems solved)."""
+    filt = {0: B0, 1: B1}
+    for hi, lo, base in steps:
+        sigma = hi + lo - base
+        code = filtration_step_doubling(filt[hi], filt[lo], filt[base])
+        if filt.setdefault(sigma, code) != code:
+            raise FiltrationError(f"filtration chain disagrees with itself at index {sigma}")
+    return filt, len(steps)
 
 
 def run_algorithm_1(
     B0: LinearCode, B1: LinearCode, target: int
 ) -> tuple[dict[int, LinearCode], int]:
     """Repeated single steps: B_2, ..., B_target.  Returns (map, systems solved)."""
-    filt = {0: B0, 1: B1}
-    solves = 0
-    for s in range(2, target + 1):
-        filt[s] = filtration_step(filt[s - 1], filt[s - 2])
-        solves += 1
-    return filt, solves
+    return _run_chain(B0, B1, [(s - 1, s - 1, s - 2) for s in range(2, target + 1)])
 
 
 def run_algorithm_2(
@@ -121,32 +129,14 @@ def run_algorithm_2(
     T = target - 1
     if T < 2:
         raise ParameterError(f"target {target} too small for the dyadic chain")
-    filt = {0: B0, 1: B1}
-    solves = 0
-
-    def put(s: int, code: LinearCode):
-        if s in filt:
-            if filt[s] != code:
-                raise FiltrationError(f"dyadic chain disagrees with itself at index {s}")
-        else:
-            filt[s] = code
-
-    put(2, filtration_step(filt[1], filt[0]))
-    solves += 1
-    put(3, filtration_step(filt[2], filt[1]))
-    solves += 1
-    levels = math.ceil(math.log2(T))
-    for s in range(levels - 1, -1, -1):
-        i = T >> s
-        for sigma in (i, i + 1):
-            # ceil(sigma/2) and floor(sigma/2) lie in {T >> (s+1), (T >> (s+1)) + 1}:
-            # the level above put both, or they are among B_0..B_3
-            code = filtration_step_doubling(
-                filt[(sigma + 1) // 2], filt[sigma // 2], filt[0], filt[0].k - sigma
-            )
-            solves += 1
-            put(sigma, code)
-    return filt, solves
+    # ceil(sigma/2) and floor(sigma/2) lie in {T >> (s+1), (T >> (s+1)) + 1}:
+    # the level above solved both, or they are among B_0..B_3
+    steps = [(1, 1, 0), (2, 2, 1)] + [
+        ((sigma + 1) // 2, sigma // 2, 0)
+        for s in range(math.ceil(math.log2(T)) - 1, -1, -1)
+        for sigma in (T >> s, (T >> s) + 1)
+    ]
+    return _run_chain(B0, B1, steps)
 
 
 # -- Steps 4-5: repair and pair synthesis ---------------------------------------------
@@ -166,11 +156,7 @@ def repair_degenerate(
         )
     if p_index not in B_tg.zero_coordinates():
         raise ParameterError(f"coordinate {p_index} is not degenerate in B_(t+g)")
-    new_row = None
-    for row in B_tg.gen:
-        if not B_tg1.contains(row):
-            new_row = row.copy()
-            break
+    new_row = next((row.copy() for row in B_tg.gen if not B_tg1.contains(row)), None)
     if new_row is None:
         raise ParameterError("no generator of B_(t+g) lies outside B_(t+g+1)")
     new_row[p_index] = 1
@@ -197,7 +183,6 @@ def build_ecp(b_hat: LinearCode, c_pub: LinearCode, t: int) -> EcpPair:
 class AttackTranscript:
     recovered_m: int
     recovered_g: int
-    c: LinearCode
     p_index: int
     filtration: dict[int, LinearCode]
     b_hat: LinearCode
@@ -252,6 +237,13 @@ def guard_algorithm_2(n: int, g: int, m: int, t: int):
     _guard_direct_route(n, m)
 
 
+# algorithm -> (guard, filtration schedule)
+_ALGORITHMS = {
+    1: (guard_algorithm_1, run_algorithm_1),
+    2: (guard_algorithm_2, run_algorithm_2),
+}
+
+
 def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
     """Run the five attack steps against a public key.
 
@@ -273,24 +265,17 @@ def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
     stage_seconds["dualize"] = time.perf_counter() - t0
 
     try:
-        if algorithm == 1:
-            guard_algorithm_1(c_pub.n, g, m, t)
-        elif algorithm == 2:
-            guard_algorithm_2(c_pub.n, g, m, t)
-        else:
+        if algorithm not in _ALGORITHMS:
             raise ParameterError(f"unknown algorithm {algorithm}")
+        guard, run = _ALGORITHMS[algorithm]
+        guard(c_pub.n, g, m, t)
     except ParameterError as exc:
         raise AttackError("guards", str(exc)) from exc
 
     t0 = time.perf_counter()
     try:
         pi = choose_p_index(C)
-        B0, B1 = init_filtration(C, pi)
-        target = t + g + 1
-        if algorithm == 1:
-            filt, solves = run_algorithm_1(B0, B1, target)
-        else:
-            filt, solves = run_algorithm_2(B0, B1, target)
+        filt, solves = run(*init_filtration(C, pi), t + g + 1)
     except (ParameterError, FiltrationError) as exc:
         raise AttackError("filtration", str(exc)) from exc
     stage_seconds["filtration"] = time.perf_counter() - t0
@@ -309,7 +294,6 @@ def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
     return AttackTranscript(
         recovered_m=m,
         recovered_g=g,
-        c=C,
         p_index=pi,
         filtration=filt,
         b_hat=b_hat,
@@ -345,18 +329,14 @@ def sliding_window_subsets(n: int, size: int, count: int, p_index: int = 0) -> l
     """Default subset strategy: `count` windows of `size` coordinates slid
     across the non-P positions so that the common intersection is empty."""
     positions = [i for i in range(n) if i != p_index]
-    if size * 1 > len(positions) or count < 1:
+    if size > len(positions) or count < 1:
         raise ParameterError("not enough coordinates for the requested windows")
     if count == 1 and size > 0:
         raise ParameterError("a single nonempty window cannot have empty intersection")
     step = max(1, size)  # disjoint consecutive windows
-    subsets = []
-    for j in range(count):
-        start = j * step
-        if start + size > len(positions):
-            raise ParameterError("windows run past the coordinate range")
-        subsets.append(positions[start : start + size])
-    return subsets
+    if (count - 1) * step + size > len(positions):
+        raise ParameterError("windows run past the coordinate range")
+    return [positions[j * step : j * step + size] for j in range(count)]
 
 
 def extended_filtration(
@@ -387,27 +367,19 @@ def extended_filtration(
     if len(sets) == 1 and sets[0]:
         raise ParameterError("a single nonempty subset cannot have empty intersection")
     k_c1 = C.shorten([p_index]).k
-    tails = []
-    for j in range(len(sets) + 1):
-        tail = sets[j:]
-        tails.append(set.intersection(*tail) if tail else None)
+    # |I_j ∩ ... ∩ I_last| for each j, and 0 past the last subset
+    tails = [len(set.intersection(*sets[j:])) for j in range(len(sets))] + [0]
     for j, s in enumerate(sets):
-        upper = len(tails[j + 1]) if tails[j + 1] is not None else 0
-        lower = len(tails[j]) if tails[j] is not None else 0
-        if not k_c1 - len(s) >= upper - lower:
+        if not k_c1 - len(s) >= tails[j + 1] - tails[j]:
             raise ParameterError(
                 f"subset {j} violates the dimension condition "
-                f"(k - |I| = {k_c1 - len(s)} < {upper - lower})"
+                f"(k - |I| = {k_c1 - len(s)} < {tails[j + 1] - tails[j]})"
             )
-    total = None
+    pieces = []
     for s in sets:
         B0j = C.shorten(sorted(s))
         B1j = C.shorten(sorted(s | {p_index}))
         if B1j.k != B0j.k - 1:
             raise FiltrationError("subset chain start is not codimension 1")
-        filt, _ = run_algorithm_2(B0j, B1j, target)
-        piece = filt[target]
-        total = piece if total is None else LinearCode(
-            C.field, C.n, np.vstack([total.gen, piece.gen])
-        )
-    return total
+        pieces.append(run_algorithm_2(B0j, B1j, target)[0][target].gen)
+    return LinearCode(C.field, C.n, np.vstack(pieces))

@@ -137,24 +137,24 @@ def test_doubling_agrees_with_single_step(herm3):
     C = ag_code(herm3, 13)
     B0, B1 = init_filtration(C, 0)
     B2 = filtration_step(B1, B0)
-    B2d = filtration_step_doubling(B1, B1, B0, expected_dim=B0.k - 2)
+    B2d = filtration_step_doubling(B1, B1, B0)
     assert B2 == B2d
     B3 = filtration_step(B2, B1)
-    B3d = filtration_step_doubling(B2, B1, B0, expected_dim=B0.k - 3)
+    B3d = filtration_step_doubling(B2, B1, B0)
     assert B3 == B3d
 
 
 def test_doubling_deep_index_r4(herm4):
     m = 30
     filt, _ = run_algorithm_1(*init_filtration(ag_code(herm4, m), 0), target=5)
-    B5 = filtration_step_doubling(filt[3], filt[2], filt[0], expected_dim=filt[0].k - 5)
+    B5 = filtration_step_doubling(filt[3], filt[2], filt[0])
     assert B5 == oracle_filtration(herm4, m, 0, 5)
 
 
 def test_doubling_fixed_point_s1(herm3):
     C = ag_code(herm3, 13)
     B0, B1 = init_filtration(C, 0)
-    assert filtration_step_doubling(B1, B0, B0, expected_dim=B1.k) == B1
+    assert filtration_step_doubling(B1, B0, B0) == B1
 
 
 # -- drivers --------------------------------------------------------------------
@@ -208,6 +208,13 @@ def test_direct_route_stalls_beyond_half_n(herm3):
     B0, B1 = init_filtration(C, 0)
     with pytest.raises(FiltrationError):
         filtration_step(B1, B0)
+
+
+def test_filtration_step_refuses_saturated_product(rng):
+    # a random [27, 16] code squares onto the whole space: no constraint is left
+    B = random_code(GF(9), 27, 16, rng)
+    with pytest.raises(FiltrationError, match="saturates"):
+        filtration_step(B, B)
 
 
 # -- repair and pair building ------------------------------------------------------
@@ -375,6 +382,12 @@ def test_word_outside_row_space_raises(desk3, monkeypatch):
     other[0] = [pk.field.random_rep(rng) for _ in range(pk.n)]
     with pytest.raises(AttackError):
         attack_decrypt(tr, PublicKey(pk.field, pk.n, pk.t, other), y)
+    # a public generator that repeats a row cannot be solved against
+    repeated = pk.g_pub.copy()
+    repeated[1] = repeated[0]
+    with pytest.raises(AttackError) as exc:
+        attack_decrypt(tr, PublicKey(pk.field, pk.n, pk.t, repeated), y)
+    assert exc.value.stage == "attack-decrypt"
     # a pair that hands back a word outside C
     y[0] = pk.field.add(int(y[0]), 1)
     monkeypatch.setattr(ecp_mod, "ecp_decode", lambda pair, word: (word, 0 * word))

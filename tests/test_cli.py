@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import subprocess
 import sys
@@ -9,11 +10,19 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agmceliece import GF, PublicKey
 from agmceliece.cli import main
+
+from conftest import random_code
 
 
 def run_cli(args):
     return main(args)
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def test_params_table_stdout(capsys):
@@ -63,15 +72,15 @@ def test_keygen_encrypt_attack_golden(tmp_path, capsys):
     # attack recovers the plaintext from the public key alone
     assert run_cli(["attack", "--pub", pub, "--ct", ct, "--transcript", tr,
                     "--out", rec]) == 0
-    original = json.load(open(msg))["msg"]
-    recovered = json.load(open(rec))["msg"]
+    original = read_json(msg)["msg"]
+    recovered = read_json(rec)["msg"]
     assert recovered == original
-    t = json.load(open(tr))
+    t = read_json(tr)
     assert t["m"] == 13 and t["g"] == 3 and t["lambda"] == 8
     # legitimate decrypt agrees
     dec = str(tmp_path / "dec.json")
     assert run_cli(["decrypt", "--sec", sec, "--ct", ct, "--out", dec]) == 0
-    assert json.load(open(dec))["msg"] == original
+    assert read_json(dec)["msg"] == original
 
 
 def test_cli_outputs_reproducible(tmp_path):
@@ -107,6 +116,20 @@ def test_attack_guard_exit_code(tmp_path):
                     str(tmp_path / "t.json")]) == 5
 
 
+def test_attack_random_code_stage_failure(tmp_path, capsys):
+    # a random [27, 16] code over GF(9) has a saturated Schur square on its
+    # dual: parameter recovery is the stage that fails
+    F = GF(9)
+    code = random_code(F, 27, 16, random.Random(5))
+    assert code.k == 16
+    pub = tmp_path / "pub.json"
+    pub.write_text(json.dumps(PublicKey(F, 27, 1, code.gen).to_dict()))
+    assert run_cli(["attack", "--pub", str(pub), "--transcript", str(tmp_path / "t.json")]) == 5
+    failures = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("stage failure:")]
+    assert len(failures) == 1 and failures[0].startswith("stage failure: [recover-params]")
+
+
 def test_attack_does_not_accept_secret_path():
     from agmceliece.cli import build_parser
 
@@ -120,9 +143,10 @@ def test_verify_subcommand(tmp_path, capsys):
     sec = str(tmp_path / "sec.json")
     run_cli(["keygen", "--curve", "hermitian", "--r", "3", "--m", "13",
              "--seed", "42", "--pub", pub, "--sec", sec])
-    assert run_cli(["verify", "--sec", sec, "--exact"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("pass") == 4
+    for flags in (["--exact"], []):
+        assert run_cli(["verify", "--sec", sec, *flags]) == 0
+        out = capsys.readouterr().out
+        assert out.count("pass") == 4, flags
 
 
 def test_bench_csv(tmp_path):
@@ -162,7 +186,7 @@ def test_encrypt_explicit_message(tmp_path):
                     "--seed", "2", "--ct", ct]) == 0
     out = str(tmp_path / "out.json")
     assert run_cli(["decrypt", "--sec", sec, "--ct", ct, "--out", out]) == 0
-    assert json.load(open(out))["msg"] == [1] * 16
+    assert read_json(out)["msg"] == [1] * 16
 
 
 def test_malformed_public_key_exit_code(tmp_path):
@@ -198,8 +222,8 @@ def _format_error(argv, capsys):
 def _decrypt_with(tmp_path, r3_keys, capsys, sec=None, ct=None):
     (tmp_path / "sec.json").write_text(json.dumps(sec or r3_keys["sec"]))
     (tmp_path / "ct.json").write_text(json.dumps(ct or r3_keys["ct"]))
-    _format_error(["decrypt", "--sec", str(tmp_path / "sec.json"), "--ct",
-                   str(tmp_path / "ct.json"), "--out", str(tmp_path / "o.json")], capsys)
+    return _format_error(["decrypt", "--sec", str(tmp_path / "sec.json"), "--ct",
+                          str(tmp_path / "ct.json"), "--out", str(tmp_path / "o.json")], capsys)
 
 
 def test_ciphertext_entry_above_field_format_error(tmp_path, r3_keys, capsys):
@@ -314,6 +338,18 @@ def test_non_integer_curve_parameter_format_error(tmp_path, r3_keys, capsys):
     sec = dict(r3_keys["sec"])
     sec["curve"] = dict(sec["curve"], r=3.7)
     _decrypt_with(tmp_path, r3_keys, capsys, sec=sec)
+
+
+@pytest.mark.parametrize("edit", ["extra_key", "no_field"])
+def test_curve_descriptor_mismatch_format_error(tmp_path, r3_keys, capsys, edit):
+    # the descriptor must be exactly the one the named curve writes
+    curve = dict(r3_keys["sec"]["curve"])
+    if edit == "extra_key":
+        curve["genus"] = 3
+    else:
+        del curve["field"]
+    line = _decrypt_with(tmp_path, r3_keys, capsys, sec=dict(r3_keys["sec"], curve=curve))
+    assert "curve descriptor does not match" in line
 
 
 class _Stalled(Exception):
