@@ -1,5 +1,9 @@
 """One-point AG codes on concrete curves: Hermitian and Suzuki.
 
+Both families are y^Q + y = h(x) with Q a power of p; each states only Q, h
+and its generator formulas, and the points, generator values and local
+expansions are all read off that one equation.
+
 Riemann-Roch spaces L(m * Pinf) are realized as explicit monomial bases in a
 few generator functions with known pole orders at the point at infinity; no
 general divisor machinery.  Every constructed basis is verified against the
@@ -14,7 +18,9 @@ the local parameter do.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -147,44 +153,20 @@ class OnePointCurve:
 
     def evaluation_matrix(self, m: int) -> np.ndarray:
         """Rows = pole-basis monomials evaluated at all n points."""
+        return self._monomials(m, self._gen_power, self.field.mul, np.ones(self.n, dtype=np.int64))
+
+    def _monomials(self, m: int, power, mul, one: np.ndarray) -> np.ndarray:
+        """Each pole-basis monomial as a product of `power(idx, e)` (e >= 1)
+        under `mul`; a row starts from its first power, the constant is `one`."""
         basis = self.pole_basis(m)
-        E = np.ones((len(basis), self.n), dtype=np.int64)
+        out = np.empty((len(basis), one.size), dtype=np.int64)
         for r, (exps, _) in enumerate(basis):
             row = None
             for idx, e in enumerate(exps):
                 if e:
-                    p = self._gen_power(idx, e)
-                    row = p if row is None else self.field.mul(row, p)
-            if row is not None:
-                E[r] = row
-        return E
-
-    # -- local expansions (for shifted divisors) -------------------------------------
-
-    def generator_series(self, point_index: int, L: int) -> list[np.ndarray]:
-        raise NotImplementedError(f"{self.kind} curve has no local-expansion support")
-
-    def basis_series(self, m: int, point_index: int, L: int) -> np.ndarray:
-        """(k x L) matrix: expansion coefficients of each basis monomial."""
-        gens = self.generator_series(point_index, L)
-        basis = self.pole_basis(m)
-        out = np.zeros((len(basis), L), dtype=np.int64)
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def gpow(idx, e):
-            key = (idx, e)
-            if key not in cache:
-                cache[key] = ser_pow(self.field, gens[idx], e, L)
-            return cache[key]
-
-        one = np.zeros(L, dtype=np.int64)
-        one[0] = 1
-        for r, (exps, _) in enumerate(basis):
-            s = one
-            for idx, e in enumerate(exps):
-                if e:
-                    s = ser_mul(self.field, s, gpow(idx, e), L)
-            out[r] = s
+                    p = power(idx, e)
+                    row = p if row is None else mul(row, p)
+            out[r] = one if row is None else row
         return out
 
     # -- serialization ------------------------------------------------------------
@@ -198,127 +180,91 @@ class OnePointCurve:
         return f"{self.kind.capitalize()}Curve(n={self.n}, g={self.genus}, {self.field!r})"
 
 
-class HermitianCurve(OnePointCurve):
-    """y^r + y = x^(r+1) over GF(r^2): n = r^3 affine points, g = r(r-1)/2."""
+# the ring operations a curve's formulas are written in: field ops on value
+# vectors, or truncated-series ops on local expansions
+_Ring = namedtuple("_Ring", "mul add pow")
 
-    def __init__(self, r: int):
-        q, genus, n = curve_numbers("hermitian", r)  # refuses an r that is no prime power
+
+class _EquationCurve(OnePointCurve):
+    """The curve y^Q + y = h(x) over GF(q), Q a power of p, on its n affine points.
+
+    `h(x, ring)` and `generators(x, y, ring)` are formulas over any `_Ring`:
+    on value vectors they give the points and `gen_values`, on truncated
+    series the local expansions.
+    """
+
+    def __init__(self, kind, q, genus, n, Q, h, generators, gen_orders, exp_bounds, params):
         field = GF(q)
-        # row a, column b: b^r + b == a^(r+1); argwhere lists them a-major
-        a = np.arange(field.q)
-        points = np.argwhere(
-            field.add(field.pow(a, r)[None, :], a[None, :]) == field.pow(a, r + 1)[:, None]
-        )
+        self.Q, self.h, self.generators = Q, h, generators
+        values = _Ring(field.mul, field.add, field.pow)
+        a = np.arange(q)
+        # row a, column b: b^Q + b == h(a); argwhere lists them a-major
+        points = np.argwhere(field.add(field.pow(a, Q), a)[None, :] == h(a, values)[:, None])
         if points.shape[0] != n:
-            raise ParameterError(f"Hermitian r={r}: found {points.shape[0]} points, expected {n}")
-        X = points[:, 0]
-        Y = points[:, 1]
-        super().__init__(
-            kind="hermitian",
-            field=field,
-            genus=genus,
-            points=points,
-            gen_orders=[r, r + 1],
-            gen_values=[X, Y],
-            exp_bounds=[None, r - 1],
-            params={"r": r},
-        )
-        self.r = r
+            raise ParameterError(f"{kind} {params}: found {points.shape[0]} points, expected {n}")
+        super().__init__(kind, field, genus, points, gen_orders,
+                         generators(points[:, 0], points[:, 1], values), exp_bounds, params)
+
+    def _series_ring(self, L: int) -> _Ring:
+        F = self.field
+        return _Ring(lambda a, b: ser_mul(F, a, b, L), F.add, lambda a, e: ser_pow(F, a, e, L))
 
     def generator_series(self, point_index: int, L: int) -> list[np.ndarray]:
-        """Expansions of x and y in the local parameter u = x - a.
+        """Expansions of the generators at the point (a, b) in u = x - a.
 
-        The curve is smooth with d/dy = 1 everywhere, so u = x - a is a
-        uniformizer at every affine point.  Matching coefficients of
-        (b + s)^r + (b + s) = (a + u)^(r+1) gives the recurrence
-        c_i = rhs_i - c_(i/r)^r (the Frobenius term only when r | i).
+        d/dy of the equation is 1, so u is a uniformizer at every affine point.
+        With x = a + u and y = sum c_i u^i, Frobenius makes y^Q = sum c_i^Q u^(iQ);
+        matching coefficients of y^Q + y = h(x) gives c_0 = b and, for i >= 1,
+        c_i = h_i - c_(i/Q)^Q when Q | i and c_i = h_i otherwise.
         """
-        F = self.field
-        r = self.r
+        F, Q, ring = self.field, self.Q, self._series_ring(L)
         a, b = (int(v) for v in self.points[point_index])
-        xs = np.zeros(L, dtype=np.int64)
-        xs[0] = a
-        if L > 1:
-            xs[1] = 1
-        c = np.zeros(max(L, 1), dtype=np.int64)
+        x = np.array([a, 1] + [0] * (L - 2), dtype=np.int64)[:L]
+        c = np.array(self.h(x, ring), dtype=np.int64)
         c[0] = b
-        for i in range(1, L):
-            rhs = 0
-            if i == 1:
-                rhs = F.pow(a, r)
-            if i == r:
-                rhs = F.add(rhs, a)
-            if i == r + 1:
-                rhs = F.add(rhs, 1)
-            if i % r == 0:
-                rhs = F.sub(rhs, F.pow(int(c[i // r]), r))
-            c[i] = rhs
-        return [xs, c[:L]]
+        for i in range(Q, L, Q):  # c_(i/Q) is final: i/Q < i
+            c[i] = F.sub(c[i], F.pow(int(c[i // Q]), Q))
+        return self.generators(x, c, ring)
+
+    def basis_series(self, m: int, point_index: int, L: int) -> np.ndarray:
+        """(k x L) matrix: expansion coefficients of each basis monomial."""
+        ring = self._series_ring(L)
+        gens = self.generator_series(point_index, L)
+        power = functools.cache(lambda idx, e: ring.pow(gens[idx], e))
+        return self._monomials(m, power, ring.mul, np.eye(1, L, dtype=np.int64)[0])
 
 
-class SuzukiCurve(OnePointCurve):
-    """y^q - y = x^q0 (x^q - x) over GF(q), q = 2 q0^2: n = q^2, g = q0(q-1)."""
-
-    def __init__(self, q0: int):
-        q, genus, _ = curve_numbers("suzuki", q0)  # refuses a q0 that is no power of 2
-        field = GF(q)
-        # every pair over GF(q) satisfies the equation: x^q = x kills the RHS
-        points = np.array([(a, b) for a in range(q) for b in range(q)], dtype=np.int64)
-        X = points[:, 0]
-        Y = points[:, 1]
-        Z = field.add(field.pow(X, 2 * q0 + 1), field.pow(Y, 2 * q0))
-        W = field.add(field.mul(X, field.pow(Y, 2 * q0)), field.pow(Z, 2 * q0))
-        super().__init__(
-            kind="suzuki",
-            field=field,
-            genus=genus,
-            points=points,
-            gen_orders=[q, q + q0, q + 2 * q0, q + 2 * q0 + 1],
-            gen_values=[X, Y, Z, W],
-            exp_bounds=[None, 2 * q0, 2 * q0, 2 * q0],
-            params={"q0": q0},
-        )
-        self.q0 = q0
-
-    def generator_series(self, point_index: int, L: int) -> list[np.ndarray]:
-        """Expansions of x, y, z, w at an affine point; u = x - a again works
-        since d/dy of the equation is the constant 1 in characteristic 2."""
-        F = self.field
-        q0 = self.q0
-        q = F.q
-        a, b = (int(v) for v in self.points[point_index])
-        xs = np.zeros(L, dtype=np.int64)
-        xs[0] = a
-        if L > 1:
-            xs[1] = 1
-        aq0 = F.pow(a, q0)
-        c = np.zeros(max(L, 1), dtype=np.int64)
-        c[0] = b
-        for i in range(1, L):
-            rhs = 0
-            if i == 1 or i == q:
-                rhs = F.add(rhs, aq0)
-            if i == q0 + 1 or i == q + q0:
-                rhs = F.add(rhs, 1)
-            if i % q == 0:
-                rhs = F.add(rhs, F.pow(int(c[i // q]), q))
-            c[i] = rhs
-        ys = c[:L]
-        zs = F.add(
-            ser_pow(F, xs, 2 * q0 + 1, L), ser_pow(F, ys, 2 * q0, L)
-        )
-        ws = F.add(
-            ser_mul(F, xs, ser_pow(F, ys, 2 * q0, L), L), ser_pow(F, zs, 2 * q0, L)
-        )
-        return [xs, ys, zs, ws]
+def hermitian_curve(r: int) -> OnePointCurve:
+    """y^r + y = x^(r+1) over GF(r^2): n = r^3 affine points, g = r(r-1)/2."""
+    q, genus, n = curve_numbers("hermitian", r)  # refuses an r that is no prime power
+    return _EquationCurve(
+        "hermitian", q, genus, n, Q=r,
+        h=lambda x, R: R.pow(x, r + 1),
+        generators=lambda x, y, R: [x, y],
+        gen_orders=[r, r + 1], exp_bounds=[None, r - 1], params={"r": r},
+    )
 
 
-def hermitian_curve(r: int) -> HermitianCurve:
-    return HermitianCurve(r)
+def suzuki_curve(q0: int) -> OnePointCurve:
+    """y^q - y = x^q0 (x^q - x) over GF(q), q = 2 q0^2: n = q^2, g = q0(q-1).
 
+    The signs are + in characteristic 2, and x^q = x kills h on GF(q), so
+    every pair is a point.
+    """
+    q, genus, n = curve_numbers("suzuki", q0)  # refuses a q0 that is no power of 2
 
-def suzuki_curve(q0: int) -> SuzukiCurve:
-    return SuzukiCurve(q0)
+    def generators(x, y, R):
+        y2 = R.pow(y, 2 * q0)
+        z = R.add(R.pow(x, 2 * q0 + 1), y2)
+        return [x, y, z, R.add(R.mul(x, y2), R.pow(z, 2 * q0))]
+
+    return _EquationCurve(
+        "suzuki", q, genus, n, Q=q,
+        h=lambda x, R: R.mul(R.pow(x, q0), R.add(R.pow(x, q), x)),
+        generators=generators,
+        gen_orders=[q, q + q0, q + 2 * q0, q + 2 * q0 + 1],
+        exp_bounds=[None, 2 * q0, 2 * q0, 2 * q0], params={"q0": q0},
+    )
 
 
 # a curve named by an artifact or on the command line is built only up to this
@@ -352,9 +298,8 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
         raise ParameterError("divisor degree must be nonnegative")
     E = curve.evaluation_matrix(m)
     k = E.shape[0]
-    total_shift = 0
     if shifts:
-        norm: list[tuple[int, int]] = []
+        norm: dict[int, int] = {}  # point -> summed multiplicity, in first-seen order
         for pi, s in shifts:
             pi, s = int(pi), int(s)
             if not 0 <= pi < curve.n:
@@ -362,10 +307,10 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
             if s < 0:
                 raise ParameterError("shift multiplicity must be >= 0")
             if s:
-                norm.append((pi, s))
-                total_shift += s
+                norm[pi] = norm.get(pi, 0) + s
+        total_shift = sum(norm.values())
         if total_shift:
-            blocks = [curve.basis_series(m, pi, s) for pi, s in norm]
+            blocks = [curve.basis_series(m, pi, s) for pi, s in norm.items()]
             C = np.hstack(blocks)  # k x total_shift
             coeff = mx.kernel(curve.field, C.T)
             code = LinearCode(curve.field, curve.n, curve.field.matmul(coeff, E))
@@ -375,7 +320,7 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
                 if code.k != expect:
                     raise ParameterError(
                         f"shifted code dimension {code.k} != expected {expect} "
-                        f"(m={m}, shifts={norm})"
+                        f"(m={m}, shifts={list(norm.items())})"
                     )
             return code
     code = LinearCode(curve.field, curve.n, E)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agmceliece import ag_code, hermitian_curve, oracle_filtration, suzuki_curve
-from agmceliece.curve import OnePointCurve, curve_from_descriptor
+from agmceliece.curve import OnePointCurve, curve_from_descriptor, ser_mul, ser_pow
 from agmceliece.errors import ParameterError
 
 from conftest import is_subcode
@@ -144,6 +144,9 @@ def test_multipoint_shifts(herm3):
     B = ag_code(herm3, 13, shifts=[(0, 1), (3, 2)])
     assert B.k == 13 - 3 - g + 1
     assert set(B.zero_coordinates()) >= {0, 3}
+    # a point named twice carries the sum of its multiplicities
+    for m in (6, 13):
+        assert ag_code(herm3, m, shifts=[(0, 1), (0, 1)]) == oracle_filtration(herm3, m, 0, 2)
 
 
 def test_descriptor_round_trip(herm3, suz2):
@@ -220,3 +223,32 @@ def test_suzuki_oracle_filtration(suz2):
         assert B.k == m - s - g + 1
         if s >= 1:
             assert 0 in B.zero_coordinates()
+
+
+@pytest.mark.parametrize("name", ["herm2", "herm3", "herm4", "suz2"])
+def test_generator_series_satisfy_curve_equation(name, request):
+    # L = 30 passes i = 3q = 24 on Suzuki q0=2: at i = q the Frobenius term and
+    # h_q cancel, so a recurrence that drops both first goes wrong at 3q
+    curve, L = request.getfixturevalue(name), 30
+    F = curve.field
+
+    def spow(a, e):
+        return ser_pow(F, a, e, L)
+
+    if curve.kind == "hermitian":
+        r = curve.params["r"]
+        Q, h = r, lambda x: spow(x, r + 1)
+    else:
+        q0 = curve.params["q0"]
+        Q, h = F.q, lambda x: ser_mul(F, spow(x, q0), F.add(spow(x, F.q), x), L)
+    for pi in range(0, curve.n, max(1, curve.n // 9)):
+        a = int(curve.points[pi][0])
+        gens = curve.generator_series(pi, L)
+        x, y = gens[:2]
+        assert x.tolist() == [a, 1] + [0] * (L - 2)
+        assert (F.add(spow(y, Q), y) == h(x)).all()  # y^Q + y = h(x)
+        assert [int(s[0]) for s in gens] == [int(v[pi]) for v in curve.gen_values]
+        if curve.kind == "suzuki":
+            z, w = gens[2:]
+            assert (z == F.add(spow(x, 2 * q0 + 1), spow(y, 2 * q0))).all()
+            assert (w == F.add(ser_mul(F, x, spow(y, 2 * q0), L), spow(z, 2 * q0))).all()

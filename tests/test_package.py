@@ -30,3 +30,11 @@ def test_every_export_resolves():
     import agmceliece
 
     assert [name for name in agmceliece.__all__ if not hasattr(agmceliece, name)] == []
+
+
+def test_no_module_asserts():
+    # every check in the package must also run under `python -O`, which strips asserts
+    hits = {m.name: [node.lineno for node in ast.walk(ast.parse(m.read_text()))
+                     if isinstance(node, ast.Assert)]
+            for m in sorted(PACKAGE.glob("*.py"))}
+    assert not {name: lines for name, lines in hits.items() if lines}
