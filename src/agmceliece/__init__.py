@@ -28,7 +28,6 @@ from .attack import (
     attack_pipeline,
     build_ecp,
     extended_filtration,
-    filtration_step,
     filtration_step_doubling,
     init_filtration,
     recover_params,
@@ -46,7 +45,7 @@ __all__ = [
     "Decoder", "EcpPair", "EcpReport", "ecp_decode", "verify_ecp",
     "PublicKey", "SecretKey", "Ciphertext", "keygen", "encrypt", "decrypt",
     "legitimate_pair", "designed_bounds", "scheme_t",
-    "AttackTranscript", "recover_params", "init_filtration", "filtration_step",
+    "AttackTranscript", "recover_params", "init_filtration",
     "filtration_step_doubling", "run_algorithm_1", "run_algorithm_2",
     "repair_degenerate", "build_ecp", "attack_pipeline", "attack_decrypt",
     "extended_filtration",

@@ -9,6 +9,7 @@ and take A0 = (B_hat * C_pub)^perp.  Everything uses only the public row space.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -67,12 +68,6 @@ def init_filtration(C: LinearCode, p_index: int) -> tuple[LinearCode, LinearCode
     if B1.k != C.k - 1:
         raise FiltrationError(f"shortening dropped dimension by {C.k - B1.k}, expected 1")
     return C, B1
-
-
-def filtration_step(B_s: LinearCode, B_sm1: LinearCode) -> LinearCode:
-    """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)): the doubling step with
-    B_hi = B_lo = B_s, whose product is the Schur square."""
-    return filtration_step_doubling(B_s, B_s, B_sm1)
 
 
 def filtration_step_doubling(B_hi: LinearCode, B_lo: LinearCode, B_0: LinearCode) -> LinearCode:
@@ -244,53 +239,39 @@ _ALGORITHMS = {
 }
 
 
-def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
-    """Run the five attack steps against a public key.
+@contextlib.contextmanager
+def _stage(seconds: dict[str, float], name: str):
+    """Time the block into seconds[name]; a refusal inside it is an
+    AttackError of that stage (SquareSaturatedError is a ParameterError)."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (ParameterError, FiltrationError) as exc:
+        raise AttackError(name, str(exc)) from exc
+    seconds[name] = time.perf_counter() - t0
 
-    (m, g) are recovered from the public code alone.
-    """
-    stage_seconds: dict[str, float] = {}
+
+def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
+    """Run the five attack steps, each a `_stage`, against a public key;
+    (m, g) are recovered from the public code alone."""
+    seconds: dict[str, float] = {}
     c_pub = pk.code()
     t = pk.t
-
-    t0 = time.perf_counter()
-    try:
+    with _stage(seconds, "recover-params"):
         m, g = recover_params(c_pub)
-    except ParameterError as exc:  # SquareSaturatedError among them
-        raise AttackError("recover-params", str(exc)) from exc
-    stage_seconds["recover_params"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    C = c_pub.dual()
-    stage_seconds["dualize"] = time.perf_counter() - t0
-
-    try:
+    with _stage(seconds, "guards"):
         if algorithm not in _ALGORITHMS:
             raise ParameterError(f"unknown algorithm {algorithm}")
         guard, run = _ALGORITHMS[algorithm]
         guard(c_pub.n, g, m, t)
-    except ParameterError as exc:
-        raise AttackError("guards", str(exc)) from exc
-
-    t0 = time.perf_counter()
-    try:
+    with _stage(seconds, "filtration"):
+        C = c_pub.dual()
         pi = choose_p_index(C)
         filt, solves = run(*init_filtration(C, pi), t + g + 1)
-    except (ParameterError, FiltrationError) as exc:
-        raise AttackError("filtration", str(exc)) from exc
-    stage_seconds["filtration"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
+    with _stage(seconds, "repair"):
         b_hat = repair_degenerate(filt[t + g], filt[t + g + 1], pi)
-    except (ParameterError, FiltrationError) as exc:
-        raise AttackError("repair", str(exc)) from exc
-    stage_seconds["repair"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pair = build_ecp(b_hat, c_pub, t)
-    stage_seconds["build_ecp"] = time.perf_counter() - t0
-
+    with _stage(seconds, "build-ecp"):
+        pair = build_ecp(b_hat, c_pub, t)
     return AttackTranscript(
         recovered_m=m,
         recovered_g=g,
@@ -300,7 +281,7 @@ def attack_pipeline(pk, algorithm: int = 2) -> AttackTranscript:
         pair=pair,
         algorithm_used=algorithm,
         systems_solved=solves,
-        stage_seconds=stage_seconds,
+        stage_seconds=seconds,
     )
 
 
@@ -347,8 +328,8 @@ def extended_filtration(
 ) -> LinearCode:
     """B_target as a sum of subset-shortened filtrations (the high-m route).
 
-    Each subset I_j spawns the chain started from (shorten(C, I_j),
-    shorten(C, {P} u I_j)); the returned code is the row-space sum of the
+    Each subset I_j spawns the chain that `init_filtration` starts on
+    shorten(C, I_j) at P; the returned code is the row-space sum of the
     depth-`target` members.  Subset admissibility follows the stated
     conditions literally: empty common intersection, and per-j
     k(C(F - P)) - |I_j| >= |intersection tail at j+1| - |intersection tail at j|.
@@ -361,11 +342,9 @@ def extended_filtration(
     for s in sets:
         if p_index in s:
             raise ParameterError("subsets must avoid the distinguished coordinate P")
-    common = set.intersection(*sets) if sets else set()
-    if len(sets) > 1 and common:
+    common = set.intersection(*sets)
+    if common:
         raise ParameterError(f"subsets share common coordinates {sorted(common)}")
-    if len(sets) == 1 and sets[0]:
-        raise ParameterError("a single nonempty subset cannot have empty intersection")
     k_c1 = C.shorten([p_index]).k
     # |I_j ∩ ... ∩ I_last| for each j, and 0 past the last subset
     tails = [len(set.intersection(*sets[j:])) for j in range(len(sets))] + [0]
@@ -375,11 +354,8 @@ def extended_filtration(
                 f"subset {j} violates the dimension condition "
                 f"(k - |I| = {k_c1 - len(s)} < {tails[j + 1] - tails[j]})"
             )
-    pieces = []
-    for s in sets:
-        B0j = C.shorten(sorted(s))
-        B1j = C.shorten(sorted(s | {p_index}))
-        if B1j.k != B0j.k - 1:
-            raise FiltrationError("subset chain start is not codimension 1")
-        pieces.append(run_algorithm_2(B0j, B1j, target)[0][target].gen)
+    pieces = [
+        run_algorithm_2(*init_filtration(C.shorten(sorted(s)), p_index), target)[0][target].gen
+        for s in sets
+    ]
     return LinearCode(C.field, C.n, np.vstack(pieces))

@@ -115,7 +115,7 @@ def cmd_encrypt(args) -> int:
     else:
         rng = random.Random(derive_seed(args.seed, "message"))
         msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
-        _dump_json(args.msg_out, {"msg": [int(v) for v in msg]})
+        _dump_json(args.msg_out, {"msg": msg.tolist()})
     ct = encrypt(pk, msg, args.seed, weight=args.weight)
     _dump_json(args.ct, ct.to_dict())
     print(f"wrote {args.ct}")
@@ -126,7 +126,7 @@ def cmd_decrypt(args) -> int:
     sk = _load(args.sec, SecretKey.from_dict)
     ct = _load(args.ct, lambda d: Ciphertext.from_dict(d, sk.curve.field, sk.curve.n))
     msg = decrypt(sk, ct)
-    _dump_json(args.out, {"msg": [int(v) for v in msg]})
+    _dump_json(args.out, {"msg": msg.tolist()})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -143,7 +143,7 @@ def cmd_attack(args) -> int:
     if args.ct:
         ct = _load(args.ct, lambda d: Ciphertext.from_dict(d, pk.field, pk.n))
         msg = attack_decrypt(transcript, pk, ct.y)
-        _dump_json(args.out, {"msg": [int(v) for v in msg]})
+        _dump_json(args.out, {"msg": msg.tolist()})
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -184,7 +184,7 @@ class LinearCode:
         return {
             "field": self.field.to_dict(),
             "n": self.n,
-            "gen": [[int(x) for x in row] for row in self.gen],
+            "gen": self.gen.tolist(),
         }
 
 

@@ -11,7 +11,7 @@ into messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +50,6 @@ class EcpReport:
     dual_b_distance: bool           # E.3  d(B^⊥) > t
     distance_sum: bool              # E.4  d(A) + d(C) > n
     mode: str = "exact"
-    details: dict = dc_field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -75,23 +74,17 @@ def verify_ecp(pair: EcpPair, designed: tuple[int, int, int] | None = None) -> E
     # E.1: A within Cond(B, C^perp); C's generator is a parity check of C^perp
     e1 = conductor(A.field, A.gen, B.gen, C.gen).shape[0] == A.k
     e2 = A.k > t
-    details: dict = {}
     if designed is not None:
         d_a, d_bdual, d_c = designed
-        e3 = d_bdual > t
-        e4 = d_a + d_c > n
-        details.update({"d_A": d_a, "d_Bdual": d_bdual, "d_C": d_c})
-        return EcpReport(e1, e2, e3, e4, mode="designed", details=details)
+        return EcpReport(e1, e2, d_bdual > t, d_a + d_c > n, mode="designed")
     # exact: d(B^⊥) > t  <=>  B^⊥ has no nonzero word of weight <= t
     e3 = not B.dual().has_word_of_weight_at_most(t)
-    d_a = A.minimum_distance()
-    details["d_A"] = d_a
-    w = n - d_a
+    w = n - A.minimum_distance()
     if w <= 0:
         e4 = C.k > 0  # d(C) >= 1 suffices
     else:
         e4 = not C.has_word_of_weight_at_most(w)
-    return EcpReport(e1, e2, e3, e4, mode="exact", details=details)
+    return EcpReport(e1, e2, e3, e4)
 
 
 def ecp_decode(pair: EcpPair, y):
@@ -106,6 +99,8 @@ def ecp_decode(pair: EcpPair, y):
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     if y.size != n:
         raise DimensionError(f"received word has length {y.size}, expected {n}")
+    if y.min() < 0 or y.max() >= F.q:
+        raise ValueError(f"entries outside [0, {F.q})")
     H = pair.parity_check
     syndrome = F.matmul(H, y[:, None]).ravel()
     # M(y) = A ∩ Cond(<y>, B^perp); B's generator is a parity check of B^perp

@@ -59,7 +59,7 @@ class PublicKey:
             "field": self.field.to_dict(),
             "n": self.n,
             "t": self.t,
-            "g_pub": [[int(x) for x in row] for row in self.g_pub],
+            "g_pub": self.g_pub.tolist(),
         }
 
     @classmethod
@@ -99,7 +99,7 @@ class SecretKey:
         return {
             "curve": self.curve.descriptor(),
             "m": self.m,
-            "scramble": [[int(x) for x in row] for row in self.scramble],
+            "scramble": self.scramble.tolist(),
             "permutation": list(self.permutation),
             "seed": self.seed,
         }
@@ -137,7 +137,7 @@ class Ciphertext:
     y: np.ndarray
 
     def to_dict(self) -> dict:
-        return {"y": [int(v) for v in self.y]}
+        return {"y": self.y.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict, field: Field, n: int) -> "Ciphertext":
@@ -190,6 +190,8 @@ def encrypt(pk: PublicKey, msg, seed: int, weight: int | None = None) -> Ciphert
     msg = np.asarray(msg, dtype=np.int64).reshape(-1)
     if msg.size != pk.k:
         raise DimensionError(f"message length {msg.size} != k = {pk.k}")
+    if msg.min() < 0 or msg.max() >= pk.field.q:
+        raise ValueError(f"entries outside [0, {pk.field.q})")
     weight = pk.t if weight is None else weight
     if not 0 <= weight <= pk.t:
         raise ParameterError(f"error weight {weight} outside [0, t={pk.t}]")

@@ -13,7 +13,6 @@ from agmceliece import (
     build_ecp,
     encrypt,
     extended_filtration,
-    filtration_step,
     filtration_step_doubling,
     hermitian_curve,
     init_filtration,
@@ -51,6 +50,12 @@ def desk3(herm3):
 @pytest.fixture(scope="module")
 def desk4(herm4):
     return keygen(herm4, 30, seed=11)
+
+
+def filtration_step(B_s, B_sm1):
+    """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)): the doubling step with
+    B_hi = B_lo = B_s, whose product is the Schur square."""
+    return filtration_step_doubling(B_s, B_s, B_sm1)
 
 
 # -- parameter recovery ---------------------------------------------------------
@@ -324,11 +329,50 @@ def test_pipeline_never_reads_secret(desk3):
     assert "SecretKey" not in src and "legitimate_pair" not in src
 
 
+def test_stage_calls_go_through_module_globals(desk3, monkeypatch):
+    # per-layer tracing replaces these names in the module, so attack_pipeline and
+    # the chain must look them up when they call them
+    from agmceliece import attack as attack_mod
+
+    names = ["recover_params", "repair_degenerate", "build_ecp", "filtration_step_doubling"]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(attack_mod, name, counted(name, getattr(attack_mod, name)))
+    tr = attack_pipeline(desk3[0])
+    assert tr.systems_solved == 8
+    assert calls == {"recover_params": 1, "repair_degenerate": 1, "build_ecp": 1,
+                     "filtration_step_doubling": 8}
+
+
+def test_receivers_refuse_reps_outside_the_field(desk3):
+    # -2 was decoded as q - 2, and q raised a bare IndexError
+    pk, sk = desk3
+    tr = attack_pipeline(pk)
+    for rep in (-2, pk.field.q):
+        y = np.zeros(pk.n, dtype=np.int64)
+        y[0] = rep
+        with pytest.raises(ValueError, match="outside"):
+            decrypt(sk, Ciphertext(y))
+        with pytest.raises(ValueError, match="outside"):
+            attack_decrypt(tr, pk, y)
+
+
 def test_transcript_serialization(desk3):
     pk, _ = desk3
     tr = attack_pipeline(pk)
     d = tr.to_dict()
     assert d["m"] == 13 and d["g"] == 3 and d["lambda"] == 8 and d["algorithm"] == 2
+    # one timing per stage, under the name AttackError.stage carries when it refuses
+    assert list(d["stage_seconds"]) == [
+        "recover-params", "guards", "filtration", "repair", "build-ecp"
+    ]
 
 
 def test_scramble_permutation_invariance(herm3):
@@ -435,6 +479,8 @@ def test_extended_filtration_guards(herm4):
         extended_filtration(C, 0, [[1, 2], [1, 2]], 5)  # not pairwise different
     with pytest.raises(ParameterError):
         extended_filtration(C, 0, [[0, 1], [2, 3]], 5)  # subset touches P
+    with pytest.raises(ParameterError):
+        extended_filtration(C, 0, [[1, 2]], 5)  # one nonempty subset is its own intersection
     with pytest.raises(ParameterError):
         extended_filtration(C, 0, [], 5)
 

@@ -163,6 +163,15 @@ def test_decode_rejects_wrong_length(desk3):
         ecp_decode(pair, np.zeros(5, dtype=np.int64))
 
 
+def test_decode_rejects_reps_outside_the_field(desk3):
+    pk, _, pair = desk3
+    for rep in (-2, pk.field.q):
+        y = np.zeros(pk.n, dtype=np.int64)
+        y[0] = rep
+        with pytest.raises(ValueError, match="outside"):
+            ecp_decode(pair, y)
+
+
 def test_soundness_check_survives_python_O():
     # under -O asserts are stripped; a decoded non-codeword must still raise
     script = textwrap.dedent("""

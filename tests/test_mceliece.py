@@ -96,6 +96,16 @@ def test_encrypt_length_check(desk3):
         encrypt(pk, np.zeros(pk.k + 1, dtype=np.int64), seed=0)
 
 
+def test_encrypt_refuses_reps_outside_the_field(desk3):
+    # -1 was read as q - 1, so the message decrypted with q - 1 in its place
+    pk, _ = desk3
+    for rep in (-1, pk.field.q):
+        msg = np.zeros(pk.k, dtype=np.int64)
+        msg[0] = rep
+        with pytest.raises(ValueError, match="outside"):
+            encrypt(pk, msg, seed=0)
+
+
 def test_decrypt_round_trip_many(desk3):
     pk, sk = desk3
     rng = random.Random(20)
