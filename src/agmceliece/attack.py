@@ -292,7 +292,7 @@ def attack_decrypt(transcript: AttackTranscript, pk, y) -> np.ndarray:
     different G_pub arrives.
     """
     decoder = transcript._decoder
-    if decoder is None or not np.array_equal(decoder.g, pk.g_pub):
+    if decoder is None or not np.array_equal(decoder.g.matrix, pk.g_pub):
         try:
             decoder = Decoder(transcript.pair, pk.g_pub)
         except DimensionError as exc:
@@ -305,20 +305,6 @@ def attack_decrypt(transcript: AttackTranscript, pk, y) -> np.ndarray:
 
 
 # -- extension beyond the direct guard ----------------------------------------------
-
-def sliding_window_subsets(n: int, size: int, count: int, p_index: int = 0) -> list[list[int]]:
-    """Default subset strategy: `count` windows of `size` coordinates slid
-    across the non-P positions so that the common intersection is empty."""
-    positions = [i for i in range(n) if i != p_index]
-    if size > len(positions) or count < 1:
-        raise ParameterError("not enough coordinates for the requested windows")
-    if count == 1 and size > 0:
-        raise ParameterError("a single nonempty window cannot have empty intersection")
-    step = max(1, size)  # disjoint consecutive windows
-    if (count - 1) * step + size > len(positions):
-        raise ParameterError("windows run past the coordinate range")
-    return [positions[j * step : j * step + size] for j in range(count)]
-
 
 def extended_filtration(
     C: LinearCode,

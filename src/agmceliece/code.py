@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, FieldMismatchError, InstanceTooLargeError
-from .field import Field
+from .field import Field, Operand
 from . import matrix as mx
 
 # minimum-distance enumeration refuses beyond q^k of this size
@@ -29,7 +29,7 @@ _WEIGHT_SEARCH_LIMIT = 20_000_000
 class LinearCode:
     """Subspace of GF(q)^n, canonical generator rows."""
 
-    __slots__ = ("field", "n", "gen", "pivots")
+    __slots__ = ("field", "n", "gen", "pivots", "_prepared")
 
     def __init__(self, field: Field, n: int, gen_rows):
         self.field = field
@@ -44,6 +44,7 @@ class LinearCode:
         g.setflags(write=False)
         self.gen = g
         self.pivots = np.array(piv, dtype=np.int64)
+        self._prepared = None
 
     # -- basics -------------------------------------------------------------------
 
@@ -69,13 +70,21 @@ class LinearCode:
         if self.n != other.n:
             raise DimensionError(f"code lengths differ: {self.n} vs {other.n}")
 
+    @property
+    def prepared(self) -> Operand:
+        """The generator as a fixed `Field.matmul` operand, prepared on first use."""
+        if self._prepared is None:
+            self._prepared = self.field.prepare(self.gen)
+        return self._prepared
+
     def contains(self, v) -> bool:
         """Exact membership: gen is canonical, so v is a codeword iff
         v = v[pivots] * gen."""
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         if v.size != self.n:
             raise DimensionError(f"vector length {v.size} != n = {self.n}")
-        return not self.field.sub(v, self.field.matmul(v[self.pivots], self.gen).ravel()).any()
+        coded = self.field.matmul(v[self.pivots], self.prepared).ravel()
+        return not self.field.sub(v, coded).any()
 
     # -- duality ---------------------------------------------------------------
 
@@ -188,7 +197,7 @@ class LinearCode:
         }
 
 
-def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.ndarray:
+def conductor(field: Field, X: np.ndarray | Operand, Y: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Rows spanning {z in row(X) : H (z*y)^T = 0 for every row y of Y}.
 
     With H a parity check of S this is row(X) ∩ Cond(row(Y), S), where
@@ -196,7 +205,9 @@ def conductor(field: Field, X: np.ndarray, Y: np.ndarray, H: np.ndarray) -> np.n
     into S.  The unknowns are coefficients over the rows of X, constrained by
     one block H (X*y)^T = (H*y) X^T per row y of Y, all built by one product.
     The rows are independent when X's are, but not canonical: wrap them in
-    LinearCode for a canonical code.
+    LinearCode for a canonical code.  X may be a prepared operand.
     """
-    M = field.matmul(field.mul(Y[:, None, :], H[None, :, :]).reshape(-1, X.shape[1]), X.T)
+    hy = field.mul(Y[:, None, :], H[None, :, :]).reshape(-1, Y.shape[1])
+    # the constraint matrix (H*y) X^T, as (X (H*y)^T)^T so that X enters untransposed
+    M = field.matmul(X, hy.T).T
     return field.matmul(mx.kernel(field, M), X)

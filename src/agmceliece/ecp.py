@@ -6,7 +6,8 @@ B, read the candidate error support off a's zero set, then solve the
 erasure system from C's parity checks.  Every returned codeword is checked
 against C unconditionally, also under `python -O`.  A `Decoder` prepares a
 pair and a generator matrix of C once, for receivers that decode many words
-into messages.
+into messages: every fixed matrix a decode multiplies by is a prepared
+`Field.matmul` operand, expanded into float digits by the first decode only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .code import LinearCode, conductor
 from .errors import DecodeFailureError, DimensionError
+from .field import Operand
 from . import matrix as mx
 
 
@@ -36,9 +38,9 @@ class EcpPair:
             raise DimensionError("pair codes must share the length of C")
 
     @cached_property
-    def parity_check(self) -> np.ndarray:
-        """C's parity-check matrix, computed once per pair."""
-        return self.c.parity_check()
+    def parity_check(self) -> Operand:
+        """C's parity-check matrix, computed and prepared once per pair."""
+        return self.c.field.prepare(self.c.parity_check())
 
 
 @dataclass
@@ -104,14 +106,14 @@ def ecp_decode(pair: EcpPair, y):
     H = pair.parity_check
     syndrome = F.matmul(H, y[:, None]).ravel()
     # M(y) = A ∩ Cond(<y>, B^perp); B's generator is a parity check of B^perp
-    locators = conductor(F, pair.a.gen, y[None, :], pair.b.gen)
+    locators = conductor(F, pair.a.prepared, y[None, :], pair.b.gen)
     if locators.shape[0] == 0:
         raise DecodeFailureError("pair cannot locate: M(y) = 0")
     tried = 0
     for a in locators:
         tried += 1
         J = np.nonzero(a == 0)[0]
-        R, rank, piv = mx.rref(F, np.hstack([H[:, J], syndrome[:, None]]))
+        R, rank, piv = mx.rref(F, np.hstack([H.matrix[:, J], syndrome[:, None]]))
         if J.size in piv:
             continue  # inconsistent erasure system
         if rank < J.size:
@@ -137,14 +139,16 @@ class Decoder:
     independent rows.  It keeps C's parity check (on the pair), an
     information set I of G and G[:, I]^-1, both read off one elimination,
     so a decode is `ecp_decode` plus one matmul, msg = c[I] * G[:, I]^-1,
-    and an exact check that msg * G = c.
+    and an exact check that msg * G = c.  G and G[:, I]^-1 are read-only
+    prepared operands, as are the pair's parity check and the generators of
+    A and C once a decode has used them.
     """
 
     __slots__ = ("pair", "g", "info_set", "info_inv")
 
     def __init__(self, pair: EcpPair, g):
         F, n = pair.c.field, pair.c.n
-        g = np.array(g, dtype=np.int64)
+        g = np.asarray(g, dtype=np.int64)
         if g.ndim != 2 or g.shape[1] != n:
             raise DimensionError(f"generator has shape {g.shape}, expected (k, {n})")
         k = g.shape[0]
@@ -154,12 +158,12 @@ class Decoder:
         rank = sum(c < n for c in piv)
         if rank != k:
             raise DimensionError(f"generator has rank {rank}, expected {k}")
-        g.setflags(write=False)
         pair.parity_check  # computed here once, not by the first decode
         self.pair = pair
-        self.g = g
+        self.g = F.prepare(g)
         self.info_set = np.array(piv, dtype=np.int64)
-        self.info_inv = R[:, n:]
+        self.info_set.setflags(write=False)
+        self.info_inv = F.prepare(R[:, n:])
 
     def decode(self, y) -> np.ndarray | None:
         """The message whose codeword is within t of y, or None when the

@@ -94,24 +94,23 @@ class Field:
     def _build_exp(self, digits: np.ndarray):
         """The canonical modulus and the exp/log tables, from one walk of x."""
         p, k, q = self.p, self.k, self.q
-        # v = low + top * x^(k-1) and f = x^k + tail, so v * x = low * x - top * tail
-        top, low = np.divmod(np.arange(q, dtype=np.int64), p ** (k - 1))
-        shifted = digits[low * p]
         for tail in range(q - 1, 0, -1) if k == 1 else range(q):
             if tail % p == 0:
                 continue  # f(0) = 0: x is no unit
-            times_x = (((shifted - top[:, None] * digits[tail]) % p) @ self._places).tolist()
-            walk, v = [1], times_x[1]
-            while v != 1 and len(walk) < q - 1:
-                walk.append(v)
-                v = times_x[v]
+            # times x on digit rows, with f = x^k + tail: x^u -> x^(u+1), x^(k-1) -> -tail
+            step = np.vstack([np.eye(k - 1, k, 1, dtype=np.int64), (p - digits[tail]) % p])
+            # the walk doubles until it returns to 1, so a short walk stays short
+            walk = np.eye(1, k, dtype=np.int64)
+            while len(walk) < q and not (walk[1:] @ self._places == 1).any():
+                walk, step = np.vstack([walk, walk @ step % p]), step @ step % p
             # x has order q - 1 exactly when its walk first returns to 1 at step q - 1
-            if v == 1 and len(walk) == q - 1:
+            returns = np.flatnonzero(walk @ self._places == 1)
+            if returns.size > 1 and returns[1] == q - 1:
                 break
         else:
             raise AssertionError(f"no primitive polynomial found for GF({p}^{k})")
         self.modulus = tuple(int(c) for c in digits[tail]) + (1,)
-        exp = np.array(walk, dtype=np.int64)
+        exp = walk[: q - 1] @ self._places
         log = np.full(q, 2 * q + 1, dtype=np.int64)  # sentinel for log(0)
         log[exp] = np.arange(q - 1)
         self._exp = exp
@@ -205,32 +204,79 @@ class Field:
 
     # -- exact matrix product over the field -----------------------------------
 
-    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def prepare(self, M) -> "Operand":
+        """M as a fixed `matmul` operand: a read-only copy, whose float digits
+        are built by its first product and reused by every later one."""
+        m = np.atleast_2d(np.array(M, dtype=np.int64))
+        m.setflags(write=False)
+        return Operand(self, m)
+
+    def _operand(self, x) -> "Operand":
+        """A prepared operand as it is; an array as an operand for one product."""
+        if not isinstance(x, Operand):
+            return Operand(self, np.atleast_2d(np.asarray(x, dtype=np.int64)))
+        if x.field != self:
+            raise ValueError(f"matmul over {self!r} of an operand prepared over {x.field!r}")
+        return x
+
+    def matmul(self, A, B) -> np.ndarray:
         """A @ B over GF(q), exact, as one mod-p float64 BLAS product.
 
         digits(a * b) = digits(a) @ M(b), where row u of the k x k matrix M(b)
         holds the digits of x^u * b.  So A @ B is A's (r, inner*k) digit matrix
         times B's (inner*k, c*k) block matrix of M(B[l, j]), reduced mod p and
         packed.  The smaller operand is the one expanded into blocks, through
-        A @ B = (B^T @ A^T)^T.
+        A @ B = (B^T @ A^T)^T.  Either side may be an `Operand` from `prepare`,
+        which keeps its digits; a plain array is an operand for this one call.
         """
-        A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-        B = np.atleast_2d(np.asarray(B, dtype=np.int64))
+        A, B = self._operand(A), self._operand(B)
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"matmul shapes {A.shape} x {B.shape}")
-        if A.size < B.size:
-            return self.matmul(B.T, A.T).T
-        (r, inner), c, k, p = A.shape, B.shape[1], self.k, self.p
-        left = self._digit_floats[A].reshape(r, inner * k)
-        # x^u has rep p^u, so row (l, u) of the block matrix is digits(x^u * B[l])
-        right = self._digit_floats[self.mul(B[:, None, :], self._places[:, None])]
+        swap = A.matrix.size < B.matrix.size
+        left = B.digits(transposed=True) if swap else A.digits(transposed=False)
+        blocked = A.matrix.T if swap else B.matrix
+        (r, _), (inner, c), k, p = left.shape, blocked.shape, self.k, self.p
+        # x^u has rep p^u, so row (l, u) of the block matrix is digits(x^u * blocked[l])
+        right = self._digit_floats[self.mul(blocked[:, None, :], self._places[:, None])]
         right = right.reshape(inner * k, c * k)
         # float64 BLAS is exact while every sum of inner*k terms stays below 2^53
         if inner * k * (p - 1) ** 2 < (1 << 52):
             prod = (left @ right).astype(np.int64)
         else:
             prod = left.astype(np.int64) @ right.astype(np.int64)
-        return (prod.reshape(r, c, k) % p) @ self._places
+        out = (prod.reshape(r, c, k) % p) @ self._places
+        return out.T if swap else out
+
+
+class Operand:
+    """A matrix over a field as `Field.matmul` reads it.
+
+    matmul expands one side into float digits, k float64s per entry: the left
+    matrix M, or M^T when M stands on the right and is the larger side.  An
+    operand keeps each expansion it is asked for, so a fixed matrix from
+    `Field.prepare` is expanded once for all its products; the k x k blocks
+    of the other side are built per product and never kept.
+    """
+
+    __slots__ = ("field", "matrix", "_digits")
+
+    def __init__(self, field: Field, matrix: np.ndarray):
+        self.field = field
+        self.matrix = matrix
+        self._digits: dict[bool, np.ndarray] = {}
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def digits(self, transposed: bool) -> np.ndarray:
+        """The (rows, cols * k) float digits of M, or of M^T, built on first use."""
+        if transposed not in self._digits:
+            m = self.matrix.T if transposed else self.matrix
+            rows, cols = m.shape
+            digits = self.field._digit_floats[m]
+            self._digits[transposed] = digits.reshape(rows, cols * self.field.k)
+        return self._digits[transposed]
 
 
 _FIELD_CACHE: dict = {}

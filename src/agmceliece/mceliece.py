@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .code import LinearCode
 from .curve import OnePointCurve, ag_code, curve_from_descriptor
 from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
-from .field import Field, _ints
+from .field import Field, Operand, _ints
 from .params import check_degree, scheme_t
 from . import matrix as mx
 
@@ -45,11 +46,20 @@ class PublicKey:
     field: Field
     n: int
     t: int
-    g_pub: np.ndarray  # k x n, scrambled (not canonical)
+    g_pub: np.ndarray  # k x n, scrambled (not canonical); read-only
+
+    def __post_init__(self):
+        # encrypt multiplies by a prepared copy, which a later write would not reach
+        self.g_pub.setflags(write=False)
 
     @property
     def k(self) -> int:
         return self.g_pub.shape[0]
+
+    @cached_property
+    def _prepared(self) -> Operand:
+        """G_pub as a fixed `Field.matmul` operand, prepared by the first encrypt."""
+        return self.field.prepare(self.g_pub)
 
     def code(self) -> LinearCode:
         return LinearCode(self.field, self.n, self.g_pub)
@@ -197,7 +207,7 @@ def encrypt(pk: PublicKey, msg, seed: int, weight: int | None = None) -> Ciphert
         raise ParameterError(f"error weight {weight} outside [0, t={pk.t}]")
     rng = random.Random(derive_seed(seed, "error"))
     e = random_error(pk.field, pk.n, weight, rng)
-    y = pk.field.add(pk.field.matmul(msg[None, :], pk.g_pub).ravel(), e)
+    y = pk.field.add(pk.field.matmul(msg[None, :], pk._prepared).ravel(), e)
     return Ciphertext(y)
 
 

@@ -30,7 +30,6 @@ from agmceliece.attack import (
     choose_p_index,
     guard_algorithm_1,
     guard_algorithm_2,
-    sliding_window_subsets,
 )
 from agmceliece.errors import (
     AttackError,
@@ -56,6 +55,20 @@ def filtration_step(B_s, B_sm1):
     """B_{s+1} = B_s ∩ Cond(B_{s-1}, B_s^(2)): the doubling step with
     B_hi = B_lo = B_s, whose product is the Schur square."""
     return filtration_step_doubling(B_s, B_s, B_sm1)
+
+
+def sliding_window_subsets(n: int, size: int, count: int, p_index: int = 0) -> list[list[int]]:
+    """Default subset strategy: `count` windows of `size` coordinates slid
+    across the non-P positions so that the common intersection is empty."""
+    positions = [i for i in range(n) if i != p_index]
+    if size > len(positions) or count < 1:
+        raise ParameterError("not enough coordinates for the requested windows")
+    if count == 1 and size > 0:
+        raise ParameterError("a single nonempty window cannot have empty intersection")
+    step = max(1, size)  # disjoint consecutive windows
+    if (count - 1) * step + size > len(positions):
+        raise ParameterError("windows run past the coordinate range")
+    return [positions[j * step : j * step + size] for j in range(count)]
 
 
 # -- parameter recovery ---------------------------------------------------------
@@ -457,7 +470,7 @@ def test_transcript_decoder_follows_the_public_key(desk3):
         msg = np.array([key.field.random_rep(rng) for _ in range(key.k)])
         ct = encrypt(key, msg, seed=124_000 + i)
         assert (attack_decrypt(tr, key, ct.y) == msg).all()
-        assert np.array_equal(tr._decoder.g, key.g_pub)
+        assert np.array_equal(tr._decoder.g.matrix, key.g_pub)
 
 
 # -- extended attack ---------------------------------------------------------------

@@ -188,7 +188,11 @@ def test_decoder_info_set_matches_two_step_reference(q, rng):
         dec = Decoder(pair, g)
         assert dec.info_set.dtype == info_set.dtype and (dec.info_set == info_set).all()
         assert dec.info_inv.shape == info_inv.shape == (k, k)
-        assert dec.info_inv.dtype == info_inv.dtype and (dec.info_inv == info_inv).all()
+        got = dec.info_inv.matrix
+        assert got.dtype == info_inv.dtype and (got == info_inv).all()
+        # what the decoder holds is read-only and its own
+        assert not any(a.flags.writeable for a in (dec.g.matrix, dec.info_set, got))
+        assert not np.shares_memory(dec.g.matrix, g)
     assert full >= 15  # k = 0 and most random draws have full rank
 
 

@@ -8,6 +8,8 @@ import pytest
 from agmceliece import Field, GF, LinearCode
 from agmceliece.errors import FieldMismatchError, ParameterError
 
+from conftest import random_matrix
+
 
 def test_gf4_char2_addition():
     F = GF(4)
@@ -188,6 +190,11 @@ def test_matmul_matches_scalar_reference(rng):
             B = np.array([F.random_rep(rng) for _ in range(inner * cols)]).reshape(inner, cols)
             C = F.matmul(A, B)
             assert C.shape == (rows, cols)
+            # a prepared operand on either side, or both, twice: bit for bit the same
+            for a, b in ((F.prepare(A), B), (A, F.prepare(B)), (F.prepare(A), F.prepare(B))):
+                for _ in range(2):
+                    got = F.matmul(a, b)
+                    assert got.dtype == C.dtype and np.array_equal(got, C)
             for i in range(rows):
                 for j in range(cols):
                     s = 0
@@ -219,3 +226,29 @@ def test_matmul_large_prime_field():
     got = int(F.matmul(A, A.T)[0, 0])
     assert inner * (p - 2) ** 2 > 2**53
     assert got == inner * (p - 2) ** 2 % p
+    # through prepared operands: M on the left, and M^T as the larger right side
+    assert int(F.matmul(F.prepare(A), A.T)[0, 0]) == got
+    wide = F.prepare(np.full((inner, 2), p - 2))
+    assert F.matmul(A, wide).tolist() == [[got, got]]
+    assert F.matmul(F.prepare(A), wide).tolist() == [[got, got]]
+
+
+def test_prepared_operand_is_a_frozen_copy(rng):
+    F = GF(49)
+    A, B = random_matrix(F, 6, 5, rng), random_matrix(F, 5, 3, rng)
+    A0 = A.copy()
+    op = F.prepare(A)
+    assert not op.matrix.flags.writeable and not np.shares_memory(op.matrix, A)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1
+    F.matmul(op, B)  # builds op's digits while the source is unchanged
+    A[:] = F.add(A, 1)
+    # op on the left (digits kept from before), on the right of a larger side
+    # (expanded into blocks), and on the right of a smaller one (digits of
+    # op^T, built only now): none of them sees the write
+    wide, row = random_matrix(F, 9, 6, rng), random_matrix(F, 1, 6, rng)
+    assert np.array_equal(F.matmul(op, B), F.matmul(A0, B))
+    assert np.array_equal(F.matmul(wide, op), F.matmul(wide, A0))
+    assert np.array_equal(F.matmul(row, op), F.matmul(row, A0))
+    with pytest.raises(ValueError, match="prepared over GF"):
+        GF(7).matmul(op, B)

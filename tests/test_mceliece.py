@@ -116,6 +116,18 @@ def test_decrypt_round_trip_many(desk3):
 
 
 
+def test_encrypt_prepares_g_pub_once(herm3):
+    pk, _ = keygen(herm3, 13, seed=44)
+    assert "_prepared" not in vars(pk)  # keygen prepares nothing
+    assert not pk.g_pub.flags.writeable
+    msg = np.arange(pk.k) % pk.field.q
+    ct = encrypt(pk, msg, seed=1)
+    prepared = pk._prepared
+    assert np.array_equal(encrypt(pk, msg, seed=1).y, ct.y) and pk._prepared is prepared
+    e = pk.field.sub(ct.y, pk.field.matmul(msg, pk.g_pub).ravel())
+    assert np.count_nonzero(e) == pk.t
+
+
 def test_decrypt_prepares_the_decoder_once(herm3, monkeypatch):
     from agmceliece import mceliece as mc
 
