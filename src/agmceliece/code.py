@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, FieldMismatchError, InstanceTooLargeError
-from .field import Field, Operand
+from .field import Field, Operand, _bounded
 from . import matrix as mx
 
 # minimum-distance enumeration refuses beyond q^k of this size
@@ -34,11 +34,7 @@ class LinearCode:
     def __init__(self, field: Field, n: int, gen_rows):
         self.field = field
         self.n = int(n)
-        a = np.asarray(gen_rows, dtype=np.int64)
-        if a.ndim != 2 or a.shape[1] != self.n:
-            raise DimensionError(f"generator has shape {a.shape}, expected (k, {self.n})")
-        if a.size and (a.min() < 0 or a.max() >= field.q):
-            raise ValueError(f"entries outside [0, {field.q})")
+        a = _bounded(gen_rows, "generator", (None, self.n), field.q)
         R, rank, piv = mx.rref(field, a)
         g = R[:rank].copy()
         g.setflags(write=False)
@@ -80,9 +76,7 @@ class LinearCode:
     def contains(self, v) -> bool:
         """Exact membership: gen is canonical, so v is a codeword iff
         v = v[pivots] * gen."""
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        if v.size != self.n:
-            raise DimensionError(f"vector length {v.size} != n = {self.n}")
+        v = _bounded(v, "vector", (self.n,), self.field.q)
         coded = self.field.matmul(v[self.pivots], self.prepared).ravel()
         return not self.field.sub(v, coded).any()
 
@@ -163,15 +157,15 @@ class LinearCode:
     def has_word_of_weight_at_most(self, w: int) -> bool:
         """Exact decision: does the code contain a nonzero word of weight <= w?
 
-        Checked as a <=w-column dependency of a parity-check matrix, which
-        stays feasible when w is small even if q^k is astronomically large.
+        Checked as a dependency among w columns of a parity-check matrix,
+        which stays feasible when w is small even if q^k is astronomically
+        large.
         """
         if self.k == 0 or w <= 0:
             return False
-        H = self.parity_check()
-        if H.shape[0] == 0:
-            return True  # full space
-        total = sum(math.comb(self.n, size) * size * size for size in range(1, w + 1))
+        if w > self.n - self.k:
+            return True  # Singleton: d <= n - k + 1
+        total = math.comb(self.n, w) * w * w
         if total > _WEIGHT_SEARCH_LIMIT:
             if self.field.q ** self.k <= _ENUM_GUARD:
                 return any(
@@ -180,11 +174,11 @@ class LinearCode:
             raise InstanceTooLargeError(
                 f"weight-{w} search needs ~{total} ops (limit {_WEIGHT_SEARCH_LIMIT})"
             )
-        for size in range(1, w + 1):
-            for cols in itertools.combinations(range(self.n), size):
-                sub = H[:, cols]
-                if mx.rref(self.field, sub.T)[1] < size:
-                    return True
+        H = self.parity_check()
+        # a dependent set of fewer columns extends to a dependent set of w
+        for cols in itertools.combinations(range(self.n), w):
+            if mx.rref(self.field, H[:, cols].T)[1] < w:
+                return True
         return False
 
     # -- serialization ------------------------------------------------------------

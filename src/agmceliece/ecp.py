@@ -19,7 +19,7 @@ import numpy as np
 
 from .code import LinearCode, conductor
 from .errors import DecodeFailureError, DimensionError
-from .field import Operand
+from .field import Operand, _bounded
 from . import matrix as mx
 
 
@@ -33,9 +33,8 @@ class EcpPair:
     t: int
 
     def __post_init__(self):
-        n = self.c.n
-        if self.a.n != n or self.b.n != n:
-            raise DimensionError("pair codes must share the length of C")
+        self.c._check_peer(self.a)
+        self.c._check_peer(self.b)
 
     @cached_property
     def parity_check(self) -> Operand:
@@ -98,11 +97,7 @@ def ecp_decode(pair: EcpPair, y):
     """
     F = pair.c.field
     n = pair.c.n
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    if y.size != n:
-        raise DimensionError(f"received word has length {y.size}, expected {n}")
-    if y.min() < 0 or y.max() >= F.q:
-        raise ValueError(f"entries outside [0, {F.q})")
+    y = _bounded(y, "received word", (n,), F.q)
     H = pair.parity_check
     syndrome = F.matmul(H, y[:, None]).ravel()
     # M(y) = A ∩ Cond(<y>, B^perp); B's generator is a parity check of B^perp
@@ -148,9 +143,7 @@ class Decoder:
 
     def __init__(self, pair: EcpPair, g):
         F, n = pair.c.field, pair.c.n
-        g = np.asarray(g, dtype=np.int64)
-        if g.ndim != 2 or g.shape[1] != n:
-            raise DimensionError(f"generator has shape {g.shape}, expected (k, {n})")
+        g = _bounded(g, "generator", (None, n), F.q)
         k = g.shape[0]
         # rref([G | 1]) = [rref(G) | E] with E G = rref(G); when G has rank k,
         # all k pivots I lie among G's n columns and E = G[:, I]^-1
@@ -170,7 +163,7 @@ class Decoder:
         decoded codeword lies outside the row space of G.
 
         Decoding failures of the pair raise DecodeFailureError, a word of the
-        wrong length DimensionError.
+        wrong shape DimensionError, a rep outside [0, q) ValueError.
         """
         F = self.pair.c.field
         c, _e = ecp_decode(self.pair, y)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 
 MAX_ORDER = 1 << 16
 
@@ -33,6 +33,19 @@ def _ints(data, what: str) -> np.ndarray:
                and -(1 << 63) <= v < 1 << 63 for v in a.flat):
         raise ValueError(f"{what}: entries must be 64-bit integers")
     return a.astype(np.int64)
+
+
+def _bounded(a, what: str, shape: tuple, bound: int) -> np.ndarray:
+    """a as an int64 array of the given shape (None matches any extent) with
+    every entry in [0, bound): the one check of an integer array the library
+    takes in.  A defect raises DimensionError (shape) or ValueError (range);
+    a negative rep would otherwise index the tables from their end."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != len(shape) or any(s not in (None, e) for s, e in zip(shape, a.shape)):
+        raise DimensionError(f"{what}: shape {a.shape}, expected {shape}")
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise ValueError(f"{what}: entries outside [0, {bound})")
+    return a
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -205,10 +218,14 @@ class Field:
     # -- exact matrix product over the field -----------------------------------
 
     def prepare(self, M) -> "Operand":
-        """M as a fixed `matmul` operand: a read-only copy, whose float digits
-        are built by its first product and reused by every later one."""
-        m = np.atleast_2d(np.array(M, dtype=np.int64))
-        m.setflags(write=False)
+        """M as a fixed `matmul` operand, whose float digits are built by its
+        first product and reused by every later one.  M is held read-only: an
+        int64 matrix that is already frozen and owns its data is shared, any
+        other input is copied, so no later write can reach the operand."""
+        m = np.atleast_2d(np.asarray(M, dtype=np.int64))
+        if m.flags.writeable or not m.flags.owndata:
+            m = m.copy()
+            m.setflags(write=False)
         return Operand(self, m)
 
     def _operand(self, x) -> "Operand":

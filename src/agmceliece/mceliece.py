@@ -19,7 +19,7 @@ from .code import LinearCode
 from .curve import OnePointCurve, ag_code, curve_from_descriptor
 from .ecp import Decoder, EcpPair
 from .errors import DimensionError, ParameterError
-from .field import Field, Operand, _ints
+from .field import Field, Operand, _bounded, _ints
 from .params import check_degree, scheme_t
 from . import matrix as mx
 
@@ -30,15 +30,8 @@ def derive_seed(master: int, tag: str) -> int:
 
 
 def _read_array(data, what: str, shape: tuple, bound: int) -> np.ndarray:
-    """JSON integers as an int64 array of the given shape (None matches any
-    extent) with every entry in [0, bound); a defect raises ValueError or
-    DimensionError."""
-    a = _ints(data, what)
-    if a.ndim != len(shape) or any(s not in (None, e) for s, e in zip(shape, a.shape)):
-        raise DimensionError(f"{what}: shape {a.shape}, expected {shape}")
-    if a.size and (a.min() < 0 or a.max() >= bound):
-        raise ValueError(f"{what}: entries outside [0, {bound})")
-    return a
+    """JSON integers as an int64 array, checked by `_bounded`."""
+    return _bounded(_ints(data, what), what, shape, bound)
 
 
 @dataclass(eq=False)
@@ -49,7 +42,8 @@ class PublicKey:
     g_pub: np.ndarray  # k x n, scrambled (not canonical); read-only
 
     def __post_init__(self):
-        # encrypt multiplies by a prepared copy, which a later write would not reach
+        self.g_pub = _bounded(self.g_pub, "g_pub", (None, self.n), self.field.q)
+        # encrypt multiplies by a prepared operand that shares this array
         self.g_pub.setflags(write=False)
 
     @property
@@ -76,8 +70,7 @@ class PublicKey:
     def from_dict(cls, d: dict) -> "PublicKey":
         field = Field.from_dict(d["field"])
         n = int(_ints(d["n"], "n"))
-        pk = cls(field, n, int(_ints(d["t"], "t")),
-                 _read_array(d["g_pub"], "g_pub", (None, n), field.q))
+        pk = cls(field, n, int(_ints(d["t"], "t")), _ints(d["g_pub"], "g_pub"))
         # keygen's budget always lies here: 1 <= t = (m-3g+1)//2 < m-g+1 = n-k
         if not 1 <= pk.t <= n - pk.k:
             raise ValueError(f"error budget t = {pk.t} outside [1, n - k = {n - pk.k}]")
@@ -197,11 +190,7 @@ def random_error(field: Field, n: int, weight: int, rng: random.Random) -> np.nd
 
 def encrypt(pk: PublicKey, msg, seed: int, weight: int | None = None) -> Ciphertext:
     """y = msg * G_pub + e, with e of weight exactly t unless overridden."""
-    msg = np.asarray(msg, dtype=np.int64).reshape(-1)
-    if msg.size != pk.k:
-        raise DimensionError(f"message length {msg.size} != k = {pk.k}")
-    if msg.min() < 0 or msg.max() >= pk.field.q:
-        raise ValueError(f"entries outside [0, {pk.field.q})")
+    msg = _bounded(msg, "message", (pk.k,), pk.field.q)
     weight = pk.t if weight is None else weight
     if not 0 <= weight <= pk.t:
         raise ParameterError(f"error weight {weight} outside [0, t={pk.t}]")

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def checkout_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, so that a
+    subprocess imports the package under test, as pytest's pythonpath does."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

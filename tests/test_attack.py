@@ -7,6 +7,7 @@ import pytest
 from agmceliece import (
     GF,
     Ciphertext,
+    Decoder,
     ag_code,
     attack_decrypt,
     attack_pipeline,
@@ -33,6 +34,7 @@ from agmceliece.attack import (
 )
 from agmceliece.errors import (
     AttackError,
+    DimensionError,
     FiltrationError,
     ParameterError,
     SquareSaturatedError,
@@ -365,16 +367,24 @@ def test_stage_calls_go_through_module_globals(desk3, monkeypatch):
 
 
 def test_receivers_refuse_reps_outside_the_field(desk3):
-    # -2 was decoded as q - 2, and q raised a bare IndexError
+    # -2 was decoded as q - 2, and q raised a bare IndexError; a decoder
+    # prepared for a generator with -5 in it read -5 as q - 5
     pk, sk = desk3
     tr = attack_pipeline(pk)
-    for rep in (-2, pk.field.q):
+    for rep in (-1, -2, -5, pk.field.q):
         y = np.zeros(pk.n, dtype=np.int64)
         y[0] = rep
         with pytest.raises(ValueError, match="outside"):
             decrypt(sk, Ciphertext(y))
         with pytest.raises(ValueError, match="outside"):
             attack_decrypt(tr, pk, y)
+        g = pk.g_pub.copy()
+        g[0, 0] = rep
+        with pytest.raises(ValueError, match="generator: entries outside"):
+            Decoder(tr.pair, g)
+    for g in (pk.g_pub[:, 1:], pk.g_pub[0]):
+        with pytest.raises(DimensionError, match="generator: shape"):
+            Decoder(tr.pair, g)
 
 
 def test_transcript_serialization(desk3):
@@ -427,7 +437,6 @@ def test_both_receivers_decode_every_weight(desk, request):
 def test_word_outside_row_space_raises(desk3, monkeypatch):
     from agmceliece import PublicKey
     from agmceliece import ecp as ecp_mod
-    from agmceliece.errors import DimensionError
 
     pk, sk = desk3
     tr = attack_pipeline(pk)

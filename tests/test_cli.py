@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from agmceliece import GF, PublicKey
 from agmceliece.cli import main
 
-from conftest import random_code
+from conftest import checkout_env, random_code
 
 
 def run_cli(args):
@@ -162,7 +162,7 @@ def test_console_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "agmceliece.cli", "params", "--curve", "hermitian",
          "--r", "9", "--m", "400", "--json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["k_pub"] == 364

@@ -134,11 +134,12 @@ def test_minimum_distance_guard():
 
 
 def test_bounded_weight_matches_enumeration(rng):
-    F = GF(4)
+    # w past n - k takes the Singleton bound, w = 0 has no nonzero word
+    F, n = GF(4), 8
     for _ in range(30):
-        C = random_code(F, 8, rng.randrange(1, 5), rng)
+        C = random_code(F, n, rng.randrange(1, n + 1), rng)
         dmin = C.minimum_distance()
-        for w in range(1, 5):
+        for w in range(n + 2):
             assert C.has_word_of_weight_at_most(w) == (dmin <= w)
 
 

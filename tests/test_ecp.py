@@ -1,9 +1,7 @@
-import os
 import random
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +18,10 @@ from agmceliece import (
     designed_bounds,
 )
 from agmceliece.code import conductor
-from agmceliece.errors import DecodeFailureError, DimensionError
+from agmceliece.errors import DecodeFailureError, DimensionError, FieldMismatchError
 from agmceliece.mceliece import random_error
 
-from conftest import is_subcode, rep_matrices
+from conftest import checkout_env, is_subcode, rep_matrices
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +59,11 @@ def test_all_ones_pair_product_orthogonality():
     ones = LinearCode(F, 6, np.ones((1, 6), dtype=np.int64))
     pair = EcpPair(ones, ones, ones.dual(), 0)
     assert verify_ecp(pair, designed=(6, 1, 1)).product_orthogonal
+    # B over another field, or of another length, makes no pair
+    with pytest.raises(FieldMismatchError):
+        EcpPair(ones, LinearCode(GF(9), 6, np.ones((1, 6))), ones.dual(), 0)
+    with pytest.raises(DimensionError):
+        EcpPair(ones, LinearCode(F, 5, np.ones((1, 5))), ones.dual(), 0)
 
 
 def test_k_a_is_t_plus_1(desk3):
@@ -165,11 +168,27 @@ def test_decode_rejects_wrong_length(desk3):
 
 def test_decode_rejects_reps_outside_the_field(desk3):
     pk, _, pair = desk3
-    for rep in (-2, pk.field.q):
+    for rep in (-1, -2, pk.field.q):
         y = np.zeros(pk.n, dtype=np.int64)
         y[0] = rep
         with pytest.raises(ValueError, match="outside"):
             ecp_decode(pair, y)
+        with pytest.raises(ValueError, match="vector: entries outside"):
+            pair.c.contains(y)
+    # contains read -1 through the tables' last row, as rep 8
+    with pytest.raises(ValueError, match="outside"):
+        LinearCode(GF(9), 4, [[1, 0, 1, 2], [0, 1, 1, 1]]).contains([-1, 3, 2, 7])
+    for rows in ([[1, 0, 1, -1]], [[1, 0, 1, 9]]):
+        with pytest.raises(ValueError, match="generator: entries outside"):
+            LinearCode(GF(9), 4, rows)
+    for rows in ([1, 0, 1, 2], [[1, 0, 1]]):
+        with pytest.raises(DimensionError, match="generator: shape"):
+            LinearCode(GF(9), 4, rows)
+    for shape in ((1, pk.n), (pk.n, 1)):
+        with pytest.raises(DimensionError, match="shape"):
+            ecp_decode(pair, np.zeros(shape, dtype=np.int64))
+        with pytest.raises(DimensionError, match="vector: shape"):
+            pair.c.contains(np.zeros(shape, dtype=np.int64))
 
 
 def test_soundness_check_survives_python_O():
@@ -192,11 +211,8 @@ def test_soundness_check_survives_python_O():
             sys.exit(0)
         sys.exit(1)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, env=env)
+                         text=True, env=checkout_env())
     assert out.returncode == 0, out.stderr
     assert "soundness check failed" in out.stdout
 

@@ -241,6 +241,14 @@ def test_prepared_operand_is_a_frozen_copy(rng):
     assert not op.matrix.flags.writeable and not np.shares_memory(op.matrix, A)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1
+    # a frozen matrix that owns its data is shared; a frozen view of a
+    # writeable matrix is not, since a write to its base would reach it
+    frozen = A.copy()
+    frozen.setflags(write=False)
+    assert F.prepare(frozen).matrix is frozen
+    view = A[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(F.prepare(view).matrix, A)
     F.matmul(op, B)  # builds op's digits while the source is unchanged
     A[:] = F.add(A, 1)
     # op on the left (digits kept from before), on the right of a larger side

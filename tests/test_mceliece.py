@@ -97,13 +97,23 @@ def test_encrypt_length_check(desk3):
 
 
 def test_encrypt_refuses_reps_outside_the_field(desk3):
-    # -1 was read as q - 1, so the message decrypted with q - 1 in its place
+    # -1 was read as q - 1, so the message decrypted with q - 1 in its place;
+    # a key built directly read G_pub's entries the same way
     pk, _ = desk3
     for rep in (-1, pk.field.q):
         msg = np.zeros(pk.k, dtype=np.int64)
         msg[0] = rep
         with pytest.raises(ValueError, match="outside"):
             encrypt(pk, msg, seed=0)
+        g_pub = pk.g_pub.copy()
+        g_pub[0, 0] = rep
+        with pytest.raises(ValueError, match="g_pub: entries outside"):
+            PublicKey(pk.field, pk.n, pk.t, g_pub)
+    with pytest.raises(DimensionError, match="message: shape"):
+        encrypt(pk, np.zeros((1, pk.k), dtype=np.int64), seed=0)
+    for g_pub in (pk.g_pub[:, 1:], pk.g_pub[0]):
+        with pytest.raises(DimensionError, match="g_pub: shape"):
+            PublicKey(pk.field, pk.n, pk.t, g_pub)
 
 
 def test_decrypt_round_trip_many(desk3):
