@@ -30,11 +30,11 @@ from .errors import (
     InstanceTooLargeError,
     ParameterError,
 )
+from .field import _bounded
 from .mceliece import (
     Ciphertext,
     PublicKey,
     SecretKey,
-    _read_array,
     decrypt,
     derive_seed,
     designed_bounds,
@@ -111,7 +111,7 @@ def cmd_keygen(args) -> int:
 def cmd_encrypt(args) -> int:
     pk = _load(args.pub, PublicKey.from_dict)
     if args.msg:
-        msg = _load(args.msg, lambda d: _read_array(d["msg"], "msg", (pk.k,), pk.field.q))
+        msg = _load(args.msg, lambda d: _bounded(d["msg"], "msg", (pk.k,), pk.field.q))
     else:
         rng = random.Random(derive_seed(args.seed, "message"))
         msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])

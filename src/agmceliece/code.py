@@ -27,9 +27,13 @@ _WEIGHT_SEARCH_LIMIT = 20_000_000
 
 
 class LinearCode:
-    """Subspace of GF(q)^n, canonical generator rows."""
+    """Subspace of GF(q)^n, canonical generator rows.
 
-    __slots__ = ("field", "n", "gen", "pivots", "_prepared")
+    A code is immutable: gen and pivots are read-only, so the prepared
+    generator and the dual it keeps once computed stay valid, and one code
+    may be shared, as `ag_code` shares a curve's codes."""
+
+    __slots__ = ("field", "n", "gen", "pivots", "_prepared", "_dual")
 
     def __init__(self, field: Field, n: int, gen_rows):
         self.field = field
@@ -40,7 +44,9 @@ class LinearCode:
         g.setflags(write=False)
         self.gen = g
         self.pivots = np.array(piv, dtype=np.int64)
+        self.pivots.setflags(write=False)
         self._prepared = None
+        self._dual = None
 
     # -- basics -------------------------------------------------------------------
 
@@ -83,7 +89,10 @@ class LinearCode:
     # -- duality ---------------------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.field, self.n, mx.kernel(self.field, self.gen))
+        """C^perp, computed on first use and kept; it does not point back to C."""
+        if self._dual is None:
+            self._dual = LinearCode(self.field, self.n, mx.kernel(self.field, self.gen))
+        return self._dual
 
     def parity_check(self) -> np.ndarray:
         """Generator of the dual, i.e. a parity-check matrix."""

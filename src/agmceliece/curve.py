@@ -95,6 +95,8 @@ class OnePointCurve:
         self.params = dict(params)
         self._verify_semigroup()
         self._basis_cache: dict[int, list] = {}
+        # ag_code(self, m) without shifts, one shared code per degree asked for
+        self._code_cache: dict[int, LinearCode] = {}
         self._pow_cache: list[dict[int, np.ndarray]] = [dict() for _ in gen_orders]
 
     # -- invariants ------------------------------------------------------------
@@ -292,10 +294,14 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
 
     Shifted divisors impose s_i successive expansion-coefficient constraints
     at each named point; dimensions are verified against deg - g + 1 whenever
-    the formula applies.
+    the formula applies.  C_L(m*Pinf) itself is a public function of the
+    curve and m: it is built and checked once per curve instance, which keeps
+    it and returns that one code to every later call without shifts.
     """
     if m < 0:
         raise ParameterError("divisor degree must be nonnegative")
+    if not shifts and m in curve._code_cache:
+        return curve._code_cache[m]
     E = curve.evaluation_matrix(m)
     k = E.shape[0]
     if shifts:
@@ -328,6 +334,8 @@ def ag_code(curve: OnePointCurve, m: int, shifts=None) -> LinearCode:
         raise ParameterError(
             f"evaluation matrix rank {code.k} below basis size {k} (m={m})"
         )
+    if not shifts:
+        curve._code_cache[m] = code
     return code
 
 

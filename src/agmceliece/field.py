@@ -38,9 +38,15 @@ def _ints(data, what: str) -> np.ndarray:
 def _bounded(a, what: str, shape: tuple, bound: int) -> np.ndarray:
     """a as an int64 array of the given shape (None matches any extent) with
     every entry in [0, bound): the one check of an integer array the library
-    takes in.  A defect raises DimensionError (shape) or ValueError (range);
-    a negative rep would otherwise index the tables from their end."""
-    a = np.asarray(a, dtype=np.int64)
+    takes in.  An array must have an integer dtype, and anything else (nested
+    lists, JSON data) is read entry by entry by `_ints`, so a float or bool is
+    refused, never truncated.  A defect raises ValueError (entries) or
+    DimensionError (shape); a negative rep would index the tables from their end."""
+    if not isinstance(a, np.ndarray):
+        a = _ints(a, what)
+    elif a.dtype.kind not in "iu":
+        raise ValueError(f"{what}: entries must be 64-bit integers")
+    a = a.astype(np.int64, copy=False)
     if a.ndim != len(shape) or any(s not in (None, e) for s, e in zip(shape, a.shape)):
         raise DimensionError(f"{what}: shape {a.shape}, expected {shape}")
     if a.size and (a.min() < 0 or a.max() >= bound):

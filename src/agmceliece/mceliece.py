@@ -29,11 +29,6 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _read_array(data, what: str, shape: tuple, bound: int) -> np.ndarray:
-    """JSON integers as an int64 array, checked by `_bounded`."""
-    return _bounded(_ints(data, what), what, shape, bound)
-
-
 @dataclass(eq=False)
 class PublicKey:
     field: Field
@@ -45,6 +40,9 @@ class PublicKey:
         self.g_pub = _bounded(self.g_pub, "g_pub", (None, self.n), self.field.q)
         # encrypt multiplies by a prepared operand that shares this array
         self.g_pub.setflags(write=False)
+        # keygen's budget always lies here: 1 <= t = (m-3g+1)//2 < m-g+1 = n-k
+        if not 1 <= self.t <= self.n - self.k:
+            raise ValueError(f"error budget t = {self.t} outside [1, n - k = {self.n - self.k}]")
 
     @property
     def k(self) -> int:
@@ -69,11 +67,7 @@ class PublicKey:
     @classmethod
     def from_dict(cls, d: dict) -> "PublicKey":
         field = Field.from_dict(d["field"])
-        n = int(_ints(d["n"], "n"))
-        pk = cls(field, n, int(_ints(d["t"], "t")), _ints(d["g_pub"], "g_pub"))
-        # keygen's budget always lies here: 1 <= t = (m-3g+1)//2 < m-g+1 = n-k
-        if not 1 <= pk.t <= n - pk.k:
-            raise ValueError(f"error budget t = {pk.t} outside [1, n - k = {n - pk.k}]")
+        pk = cls(field, int(_ints(d["n"], "n")), int(_ints(d["t"], "t")), d["g_pub"])
         # a dependent row would encrypt messages that no receiver can recover
         rank = mx.rref(field, pk.g_pub)[1]
         if rank != pk.k:
@@ -90,6 +84,21 @@ class SecretKey:
     seed: int
 
     _decoder_cache: Decoder | None = dc_field(default=None, repr=False)
+
+    def __post_init__(self):
+        curve, n = self.curve, self.curve.n
+        # the decoder enumerates about m / r monomials: an unbounded m stalls it
+        check_degree(self.m, curve.genus, n)
+        self.scramble = _bounded(self.scramble, "scramble", (None, None), curve.field.q)
+        k = n - (self.m - curve.genus + 1)  # dim C_L(m Pinf)^perp, as n > m > 3g
+        if self.scramble.shape != (k, k):
+            raise DimensionError(
+                f"scramble matrix has shape {self.scramble.shape}, expected ({k}, {k})"
+            )
+        perm = _bounded(self.permutation, "permutation", (n,), n)
+        if (np.bincount(perm, minlength=n) != 1).any():
+            raise ValueError(f"permutation is not a bijection of range({n})")
+        self.permutation = perm.tolist()
 
     @property
     def decoder(self) -> Decoder:
@@ -109,26 +118,20 @@ class SecretKey:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecretKey":
-        """Read and check a secret key, and prepare its decoder.
+        """Read a secret key, and prepare its decoder.
 
-        A scramble of the wrong size or rank shows only against the code, so
-        it is caught while the decoder is built.
+        The constructor checks the degree, the scramble's shape and the
+        permutation.  A singular scramble shows only against the code, so it
+        is caught while the decoder is built.
         """
         curve = curve_from_descriptor(d["curve"])
         if d["curve"] != curve.descriptor():
             raise ValueError("curve descriptor does not match the curve it names")
-        n = curve.n
-        # the decoder enumerates about m / r monomials: an unbounded m stalls it
-        m = int(_ints(d["m"], "m"))
-        check_degree(m, curve.genus, n)
-        perm = _read_array(d["permutation"], "permutation", (n,), n)
-        if np.unique(perm).size != n:
-            raise ValueError(f"permutation is not a bijection of range({n})")
         sk = cls(
             curve,
-            m,
-            _read_array(d["scramble"], "scramble", (None, None), curve.field.q),
-            perm.tolist(),
+            int(_ints(d["m"], "m")),
+            d["scramble"],
+            d["permutation"],
             int(_ints(d["seed"], "seed")),
         )
         sk.decoder
@@ -145,7 +148,7 @@ class Ciphertext:
     @classmethod
     def from_dict(cls, d: dict, field: Field, n: int) -> "Ciphertext":
         """Read a ciphertext of length n over `field`."""
-        return cls(_read_array(d["y"], "y", (n,), field.q))
+        return cls(_bounded(d["y"], "y", (n,), field.q))
 
 
 def _random_invertible(field: Field, k: int, rng: random.Random) -> np.ndarray:
@@ -218,10 +221,6 @@ def _legitimate_decoder(sk: SecretKey) -> Decoder:
 
     g_can = ag_code(curve, sk.m).dual().gen
     C = permuted(g_can)
-    if sk.scramble.shape != (C.k, C.k):
-        raise DimensionError(
-            f"scramble matrix has shape {sk.scramble.shape}, expected ({C.k}, {C.k})"
-        )
     A = permuted(ag_code(curve, deg_e).gen)
     B = permuted(ag_code(curve, sk.m - deg_e).gen)
     return Decoder(

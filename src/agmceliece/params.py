@@ -59,7 +59,7 @@ def check_degree(m: int, g: int, n: int):
     """The scheme's range for the divisor degree: 3g < m < n.
 
     m > 3g is exactly t = (m - 3g + 1) // 2 >= 1, and m < n keeps the code
-    proper; keygen, scheme_params and SecretKey.from_dict all use this range.
+    proper; keygen, scheme_params and SecretKey all use this range.
     """
     if not n > m > 3 * g:
         raise ParameterError(f"need n > m > 3g = {3 * g}, got m = {m} (n = {n})")

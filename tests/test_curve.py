@@ -130,6 +130,24 @@ def test_oracle_filtration_s0_s1(herm3):
     assert oracle_filtration(herm3, 13, 0, 1) == C.shorten([0])
 
 
+def test_ag_code_is_built_once_per_curve(herm3):
+    # every key on a curve shares its code and the code's dual, so both are read-only
+    C = ag_code(herm3, 13)
+    assert ag_code(herm3, 13) is C
+    assert C.dual() is C.dual()
+    for arr in (C.gen, C.pivots, C.dual().gen, C.dual().pivots):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    fresh = hermitian_curve(3)
+    assert ag_code(fresh, 13) == C and ag_code(fresh, 13) is not C
+    # shifted codes are built per call
+    for s in range(1, 4):
+        B = oracle_filtration(herm3, 13, 0, s)
+        assert B is not oracle_filtration(herm3, 13, 0, s)
+        assert B == oracle_filtration(fresh, 13, 0, s)
+        assert B.k == 13 - s - herm3.genus + 1 and is_subcode(B, C)
+
+
 def test_oracle_filtration_chain_nested(herm4):
     prev = None
     for s in range(0, 8):

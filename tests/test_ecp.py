@@ -61,9 +61,9 @@ def test_all_ones_pair_product_orthogonality():
     assert verify_ecp(pair, designed=(6, 1, 1)).product_orthogonal
     # B over another field, or of another length, makes no pair
     with pytest.raises(FieldMismatchError):
-        EcpPair(ones, LinearCode(GF(9), 6, np.ones((1, 6))), ones.dual(), 0)
+        EcpPair(ones, LinearCode(GF(9), 6, np.ones((1, 6), dtype=np.int64)), ones.dual(), 0)
     with pytest.raises(DimensionError):
-        EcpPair(ones, LinearCode(F, 5, np.ones((1, 5))), ones.dual(), 0)
+        EcpPair(ones, LinearCode(F, 5, np.ones((1, 5), dtype=np.int64)), ones.dual(), 0)
 
 
 def test_k_a_is_t_plus_1(desk3):
@@ -178,6 +178,13 @@ def test_decode_rejects_reps_outside_the_field(desk3):
     # contains read -1 through the tables' last row, as rep 8
     with pytest.raises(ValueError, match="outside"):
         LinearCode(GF(9), 4, [[1, 0, 1, 2], [0, 1, 1, 1]]).contains([-1, 3, 2, 7])
+    # floats and bools were truncated: 1.7 read as 1, True as 1
+    with pytest.raises(ValueError, match="vector: entries must be 64-bit integers"):
+        LinearCode(GF(9), 4, [[1, 0, 1, 2]]).contains([True, False, True, 2])
+    with pytest.raises(ValueError, match="generator: entries must be 64-bit integers"):
+        LinearCode(GF(9), 4, [[1.7, 0, 1, 2]])
+    with pytest.raises(ValueError, match="received word: entries must be 64-bit integers"):
+        ecp_decode(pair, np.zeros(pk.n))
     for rows in ([[1, 0, 1, -1]], [[1, 0, 1, 9]]):
         with pytest.raises(ValueError, match="generator: entries outside"):
             LinearCode(GF(9), 4, rows)
@@ -192,16 +199,33 @@ def test_decode_rejects_reps_outside_the_field(desk3):
 
 
 def test_soundness_check_survives_python_O():
-    # under -O asserts are stripped; a decoded non-codeword must still raise
+    # under -O asserts are stripped; invalid inputs must still be refused and
+    # a decoded non-codeword must still raise
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from agmceliece import LinearCode, decrypt, encrypt, hermitian_curve, keygen
-        from agmceliece.errors import DecodeFailureError
+        from agmceliece import (LinearCode, PublicKey, SecretKey, ag_code, decrypt,
+                                encrypt, hermitian_curve, keygen)
+        from agmceliece.errors import DecodeFailureError, DimensionError
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        pk, sk = keygen(hermitian_curve(3), 13, seed=42)
+        curve = hermitian_curve(3)
+        pk, sk = keygen(curve, 13, seed=42)
+        S = sk.scramble.copy()
+        S[0, 0] = -8
+        for make in (lambda: encrypt(pk, [0.9] * pk.k, seed=1),
+                     lambda: LinearCode(pk.field, 4, [[1.7, 0, 1, 2]]),
+                     lambda: PublicKey(pk.field, pk.n, 0, pk.g_pub),
+                     lambda: SecretKey(curve, 13, S, sk.permutation, 42),
+                     lambda: SecretKey(curve, 13, S[1:, 1:], sk.permutation, 42),
+                     lambda: SecretKey(curve, 13, sk.scramble, [0] * pk.n, 42),
+                     lambda: ag_code(curve, 13).pivots.__setitem__(0, 1)):
+            try:
+                make()
+            except (ValueError, DimensionError):
+                continue
+            sys.exit("accepted an invalid input under -O")
         ct = encrypt(pk, np.ones(pk.k, dtype=np.int64), seed=1)
         LinearCode.contains = lambda self, v: False
         try:

@@ -15,6 +15,7 @@ from agmceliece import (
     hermitian_curve,
     keygen,
     legitimate_pair,
+    suzuki_curve,
     scheme_t,
     verify_ecp,
     designed_bounds,
@@ -109,11 +110,59 @@ def test_encrypt_refuses_reps_outside_the_field(desk3):
         g_pub[0, 0] = rep
         with pytest.raises(ValueError, match="g_pub: entries outside"):
             PublicKey(pk.field, pk.n, pk.t, g_pub)
+    # a float or bool was truncated: [0.9] * k encrypted the zero message
+    for msg in ([0.9] * pk.k, [True] * pk.k):
+        with pytest.raises(ValueError, match="message: entries must be 64-bit integers"):
+            encrypt(pk, msg, seed=0)
+    with pytest.raises(ValueError, match="g_pub: entries must be 64-bit integers"):
+        PublicKey(pk.field, pk.n, pk.t, pk.g_pub + 0.0)
     with pytest.raises(DimensionError, match="message: shape"):
         encrypt(pk, np.zeros((1, pk.k), dtype=np.int64), seed=0)
     for g_pub in (pk.g_pub[:, 1:], pk.g_pub[0]):
         with pytest.raises(DimensionError, match="g_pub: shape"):
             PublicKey(pk.field, pk.n, pk.t, g_pub)
+
+
+def test_key_constructors_check_their_invariants(desk3):
+    # a key built directly took any t, and read a scramble entry -8 as rep 1
+    # and a permutation entry -19 as position 8
+    pk, sk = desk3
+    for t in (0, pk.n - pk.k + 1, 99):
+        with pytest.raises(ValueError, match="error budget"):
+            PublicKey(pk.field, pk.n, t, pk.g_pub)
+    S = sk.scramble.copy()
+    S[0, 0] = -8
+    negative, repeated = list(sk.permutation), list(sk.permutation)
+    negative[0] = -19
+    repeated[1] = repeated[0]
+    fields = dict(curve=sk.curve, m=sk.m, scramble=sk.scramble,
+                  permutation=sk.permutation, seed=sk.seed)
+    for change, error, match in [
+        ({"m": 9}, ParameterError, "need n > m > 3g"),
+        ({"scramble": S}, ValueError, "scramble: entries outside"),
+        ({"scramble": sk.scramble + 0.5}, ValueError, "scramble: entries must be"),
+        ({"scramble": sk.scramble[1:, 1:]}, DimensionError, "scramble matrix has shape"),
+        ({"scramble": sk.scramble[1:]}, DimensionError, "scramble matrix has shape"),
+        ({"permutation": negative}, ValueError, "permutation: entries outside"),
+        ({"permutation": repeated}, ValueError, "not a bijection"),
+        ({"permutation": sk.permutation[1:]}, DimensionError, "permutation: shape"),
+    ]:
+        with pytest.raises(error, match=match):
+            SecretKey(**dict(fields, **change))
+
+
+@pytest.mark.parametrize("make, param, m", [(hermitian_curve, 3, 13), (hermitian_curve, 4, 25),
+                                            (suzuki_curve, 2, 45)])
+def test_keys_on_one_curve_match_keys_on_fresh_curves(make, param, m):
+    # keygen reads the code and dual the curve keeps; a fresh curve builds both anew
+    shared = make(param)
+    for seed in range(1, 6):
+        pk, sk = keygen(shared, m, seed)
+        pk_fresh, sk_fresh = keygen(make(param), m, seed)
+        assert pk.to_dict() == pk_fresh.to_dict() and sk.to_dict() == sk_fresh.to_dict()
+        if seed == 2:
+            msg = np.arange(pk.k) % pk.field.q
+            assert (decrypt(sk, encrypt(pk, msg, seed=seed)) == msg).all()
 
 
 def test_decrypt_round_trip_many(desk3):
