@@ -15,8 +15,6 @@ import random
 import sys
 import time
 
-import numpy as np
-
 from .attack import attack_decrypt, attack_pipeline
 from .curve import curve_from_descriptor
 from .ecp import verify_ecp
@@ -114,7 +112,7 @@ def cmd_encrypt(args) -> int:
         msg = _load(args.msg, lambda d: _bounded(d["msg"], "msg", (pk.k,), pk.field.q))
     else:
         rng = random.Random(derive_seed(args.seed, "message"))
-        msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
+        msg = pk.field.random_reps(rng, pk.k)
         _dump_json(args.msg_out, {"msg": msg.tolist()})
     ct = encrypt(pk, msg, args.seed, weight=args.weight)
     _dump_json(args.ct, ct.to_dict())
@@ -164,7 +162,7 @@ def cmd_bench(args) -> int:
     rng = random.Random(derive_seed(args.seed, "bench"))
     t_dec = 0.0
     for trial in range(args.trials):
-        msg = np.array([pk.field.random_rep(rng) for _ in range(pk.k)])
+        msg = pk.field.random_reps(rng, pk.k)
         ct = encrypt(pk, msg, derive_seed(args.seed, f"trial{trial}"))
         t0 = time.perf_counter()
         try:

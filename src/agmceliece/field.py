@@ -184,6 +184,17 @@ class Field:
             return self._mul_table[a, b]
         return self._exp_ext[self._log[a] + self._log[b]]
 
+    def sub_outer(self, X, a, v):
+        """X - a (x) v for a (T, W) array X, a length-T column a and a length-W row v.
+
+        With full tables the q x W table of -s * v is built once, and its rows
+        are gathered by coefficient: a row copy per target, not a lookup per
+        product.  Larger fields multiply entry by entry through exp/log.
+        """
+        if self._mul_table is not None:
+            return self.add(X, self._mul_table[self._neg_table[:, None], v].take(a, axis=0))
+        return self.add(X, self.mul(self.neg(a[:, None]), v))
+
     def inv(self, a):
         if isinstance(a, np.ndarray):
             if (a == 0).any():
@@ -217,6 +228,25 @@ class Field:
 
     def random_rep(self, rng) -> int:
         return rng.randrange(self.q)
+
+    def random_reps(self, rng, count: int) -> np.ndarray:
+        """The int64 reps of `count` calls of rng.randrange(q), leaving rng in
+        the same state, drawn in batches.
+
+        Each try of randrange(q) keeps the top q.bit_length() bits of one
+        32-bit word and rejects a value >= q; getrandbits(32 * need) yields
+        `need` such words, lowest first.  A batch of `need` tries accepts at
+        most `need` values, so it never reads past the loop's last try.
+        """
+        shift = 32 - self.q.bit_length()
+        batches = [np.zeros(0, dtype=np.int64)]
+        need = count
+        while need:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            tries = np.frombuffer(words, dtype="<u4").astype(np.int64) >> shift
+            batches.append(tries[tries < self.q])
+            need -= batches[-1].size
+        return np.concatenate(batches)
 
     def random_nonzero_rep(self, rng) -> int:
         return rng.randrange(1, self.q)

@@ -27,7 +27,7 @@ def rref(field: Field, M: np.ndarray):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -38,9 +38,9 @@ def rref(field: Field, M: np.ndarray):
             A[r, c:] = field.mul(A[r, c:], field.inv(pv))
         col = A[:, c].copy()
         col[r] = 0
-        tgt = np.nonzero(col)[0]
+        tgt = col.nonzero()[0]
         if tgt.size:
-            A[tgt, c:] = field.add(A[tgt, c:], field.mul(field.neg(col[tgt, None]), A[r, c:]))
+            A[tgt, c:] = field.sub_outer(A[tgt, c:], col[tgt], A[r, c:])
         pivots.append(c)
         r += 1
     return A[:r], r, pivots

@@ -153,9 +153,7 @@ class Ciphertext:
 
 def _random_invertible(field: Field, k: int, rng: random.Random) -> np.ndarray:
     while True:
-        S = np.array(
-            [[field.random_rep(rng) for _ in range(k)] for _ in range(k)], dtype=np.int64
-        )
+        S = field.random_reps(rng, k * k).reshape(k, k)
         if mx.rref(field, S)[1] == k:
             return S
 

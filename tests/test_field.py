@@ -215,6 +215,38 @@ def test_array_ops_match_scalar_ops(rng):
             assert F.neg(a)[i] == F.neg(int(a[i]))
 
 
+def test_sub_outer_matches_scalar_formula(rng):
+    # GF(49) gathers rows of its table of -s * v; GF(3^6) has no tables and
+    # multiplies through exp/log (in odd characteristic, so a lost sign shows).
+    # Zero coefficients and no targets included.
+    for q in (49, 3**6):
+        F = GF(q)
+        v = random_matrix(F, 1, 11, rng)[0]
+        for targets in (0, 1, 9):
+            X = random_matrix(F, targets, 11, rng).reshape(targets, 11)
+            a = random_matrix(F, 1, targets, rng)[0]
+            a[::3] = 0
+            got = F.sub_outer(X, a, v)
+            assert got.dtype == np.int64 and got.shape == (targets, 11)
+            assert got.tolist() == [
+                [F.sub(int(x), F.mul(int(a[i]), int(vj))) for x, vj in zip(X[i], v)]
+                for i in range(targets)
+            ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 49, 64, 81, 243, 256, 257, 2**16])
+def test_random_reps_is_a_randrange_loop(q):
+    # the same values as count calls of randrange(q), and the generator left
+    # where that loop leaves it; 39 204 is the n=343 scramble's k^2
+    F = GF(q)
+    for count in (0, 1, 7, 1000, 39204):
+        batch, loop = random.Random(count), random.Random(count)
+        got = F.random_reps(batch, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == [loop.randrange(q) for _ in range(count)]
+        assert batch.getstate() == loop.getstate()
+
+
 def test_matmul_large_prime_field():
     # inner * (p-2)^2 > 2^53 and the sum is odd, so float64 cannot hold it and
     # the int64 fallback must engage.  (p-1 entries would not test it: (p-1)^2

@@ -88,8 +88,10 @@ def _gauss_jordan(F, M):
 @given(st.data())
 def test_rref_matches_plain_gauss_jordan(data):
     # tall and rank-deficient (P Q through an inner dimension s), with whole
-    # columns zeroed; GF(2^9) has no lookup tables and takes the log route
-    F = data.draw(st.sampled_from([GF(2), GF(7), GF(9), GF(49), GF(2**9)]))
+    # columns zeroed.  GF(256), the largest field with full tables, and GF(243),
+    # in odd characteristic near that limit, update rows from a table of
+    # multiples; GF(2^9) has no tables and takes the log route
+    F = data.draw(st.sampled_from([GF(2), GF(7), GF(9), GF(49), GF(243), GF(256), GF(2**9)]))
     c = data.draw(st.integers(1, 8))
     r = data.draw(st.integers(c, 3 * c + 2))
     s = data.draw(st.integers(0, c))
